@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,13 +26,10 @@ import (
 // member is one worker as the coordinator tracks it.
 type member struct {
 	name, url, version string
-	// wire records whether the worker advertised the binary wire format
-	// on join (see wire.go); without it the worker gets JSON shard jobs.
-	wire     bool
-	healthy  bool
-	misses   int
-	sessions int
-	lastSeen time.Time
+	healthy            bool
+	misses             int
+	sessions           int
+	lastSeen           time.Time
 }
 
 // Coordinator runs the fleet: membership and health, session routing
@@ -126,12 +122,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, req *http.Request) {
 	rejoined := !known || !m.healthy || m.url != jr.URL
 	m.url = jr.URL
 	m.version = jr.Version
-	m.wire = false
-	for _, v := range jr.Wire {
-		if v == wireV1 {
-			m.wire = true
-		}
-	}
 	m.healthy = true
 	m.misses = 0
 	m.lastSeen = time.Now()
@@ -156,17 +146,13 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, req *http.Request) {
 	c.mu.Lock()
 	nodes := make([]server.ClusterNode, 0, len(c.members))
 	for _, m := range c.members {
-		wire := "json"
-		if m.wire {
-			wire = "binary"
-		}
 		nodes = append(nodes, server.ClusterNode{
 			Name:       m.name,
 			URL:        m.url,
 			Version:    m.version,
 			Healthy:    m.healthy,
 			Sessions:   m.sessions,
-			Wire:       wire,
+			Wire:       "binary",
 			LastSeenNS: int64(now.Sub(m.lastSeen)),
 		})
 	}
@@ -404,7 +390,7 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 	var rep *core.Report
 	if merger == nil {
 		// Polynomial levels never build a polygraph; nothing was dispersed.
-		rep, err = core.CheckShardedContext(req.Context(), h, opts, nil)
+		rep = core.CheckHistoryContext(req.Context(), h, opts)
 	} else {
 		rep, err = core.CheckMergedContext(req.Context(), merger)
 	}
@@ -431,11 +417,8 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 		mx.Add("viperd_cluster_wire_bytes_out_total", info.WireBytesOut)
 		mx.Add("viperd_cluster_wire_bytes_in_total", info.WireBytesIn)
 		for _, s := range info.Shards {
-			switch s.Wire {
-			case "binary":
+			if !s.Local {
 				mx.Add("viperd_cluster_shards_binary_total", 1)
-			case "json":
-				mx.Add("viperd_cluster_shards_json_total", 1)
 			}
 		}
 	}
@@ -452,7 +435,6 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 type shardOutcome struct {
 	node               string
 	local              bool
-	wire               string // "binary" or "json" for remote shards
 	bytesOut, bytesIn  int64
 	encodeNS, decodeNS int64
 }
@@ -475,21 +457,12 @@ func (c *Coordinator) disperse(ctx context.Context, h *history.History, opts cor
 	info := &obs.ClusterInfo{Coordinator: c.cfg.NodeName, Workers: len(workers)}
 	merger := core.NewShardMerger(h, opts)
 
-	if len(workers) == 0 {
-		kr := keyRange{lo: 0, hi: len(h.Keys())}
-		recs := core.BuildShardRecords(h, opts, h.Keys())
-		for i := range recs {
-			if err := merger.Add(i, recs[i]); err != nil {
-				c.cfg.logf("cluster: local record merge: %v", err)
-			}
-		}
-		si, _, _ := shardInfo(h, opts, kr, recs, c.cfg.NodeName, true)
-		info.Shards = []obs.ClusterShard{si}
-		info.MergeNS = int64(time.Since(start))
-		return info, merger
+	// Without workers the coordinator records the whole history itself,
+	// as one local shard that is not a fallback.
+	ranges := []keyRange{{lo: 0, hi: len(h.Keys())}}
+	if len(workers) > 0 {
+		ranges = partitionKeys(h, len(workers), c.cfg.MinShardOps)
 	}
-
-	ranges := partitionKeys(h, len(workers), c.cfg.MinShardOps)
 	type stat struct {
 		si                    obs.ClusterShard
 		crossEdges, crossCons int
@@ -506,7 +479,9 @@ func (c *Coordinator) disperse(ctx context.Context, h *history.History, opts cor
 			// The shard's records are all in the merger now; summarize them
 			// here so the stats pass overlaps other shards' dispatches.
 			si, crossEdges, crossCons := shardInfo(h, opts, kr, merger.Records(kr.lo, kr.hi), out.node, out.local)
-			si.Wire = out.wire
+			if !out.local {
+				si.Wire = "binary"
+			}
 			si.WireBytesOut, si.WireBytesIn = out.bytesOut, out.bytesIn
 			si.EncodeNS, si.DecodeNS = out.encodeNS, out.decodeNS
 			stats[i] = stat{si: si, crossEdges: crossEdges, crossCons: crossCons}
@@ -520,19 +495,16 @@ func (c *Coordinator) disperse(ctx context.Context, h *history.History, opts cor
 		info.CrossShardConstraints += stats[i].crossCons
 		out := &outcomes[i]
 		if out.local {
-			info.LocalFallbacks++
+			if len(workers) > 0 {
+				info.LocalFallbacks++
+			}
 			continue
 		}
 		info.WireBytesOut += out.bytesOut
 		info.WireBytesIn += out.bytesIn
 		info.EncodeNS += out.encodeNS
 		info.DecodeNS += out.decodeNS
-		switch {
-		case info.Wire == "":
-			info.Wire = out.wire
-		case info.Wire != out.wire:
-			info.Wire = "mixed"
-		}
+		info.Wire = "binary"
 	}
 	info.MergeNS = int64(time.Since(start))
 	return info, merger
@@ -559,33 +531,13 @@ func (c *Coordinator) recordShard(ctx context.Context, workers []member, i int, 
 	// streamed into the merger are deduplicated there (Add ignores keys
 	// it holds), so a partial remote digest plus a full local pass still
 	// merges exactly once per key.
-	keys := h.Keys()[kr.lo:kr.hi]
-	recs := core.BuildShardRecords(h, opts, keys)
-	for j := range recs {
-		if err := merger.Add(kr.lo+j, recs[j]); err != nil {
-			c.cfg.logf("cluster: local record merge: %v", err)
-		}
+	err := core.BuildShardRecordsOrdered(h, opts, h.Keys()[kr.lo:kr.hi], func(j int, rec *core.KeyRecord) error {
+		return merger.Add(kr.lo+j, rec)
+	})
+	if err != nil {
+		c.cfg.logf("cluster: local record merge: %v", err)
 	}
 	return shardOutcome{node: c.cfg.NodeName, local: true}
-}
-
-// sendShard records one key range on wk, negotiating the codec: binary
-// when the worker advertised it (and this coordinator allows it), with
-// a one-shot JSON downgrade if the worker refuses the binary body —
-// covering a worker that advertised the codec and was then rolled back.
-func (c *Coordinator) sendShard(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (shardOutcome, error) {
-	if wk.wire && !c.cfg.DisableBinaryWire {
-		out, err := c.sendShardBinary(ctx, wk, h, kr, opts, merger)
-		if err == nil {
-			return out, nil
-		}
-		ae, isAPI := err.(*server.APIError)
-		if !isAPI || (ae.Status != http.StatusUnsupportedMediaType && ae.Status != http.StatusBadRequest) {
-			return out, err
-		}
-		c.cfg.logf("cluster: %q refused the binary shard job (%v); retrying as JSON", wk.name, err)
-	}
-	return c.sendShardJSON(ctx, wk, h, kr, opts, merger)
 }
 
 // retryShard runs one round-trip attempt function under the default
@@ -614,16 +566,17 @@ func retryShard(ctx context.Context, attempt func() (shardOutcome, error)) (shar
 	}
 }
 
-// sendShardBinary streams the binary shard job and replays the streamed
-// digest into the merger as records arrive. The job encodes straight
-// from the full history into the request body (no slice History, no
-// buffered copy), so encode, upload, remote recording, download, and
-// replay all overlap.
-func (c *Coordinator) sendShardBinary(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (shardOutcome, error) {
+// sendShard records one key range on wk: it streams the shard job and
+// replays the streamed digest into the merger as records arrive. The job
+// encodes straight from the full history into the request body (no slice
+// History, no buffered copy), so encode, upload, remote recording,
+// download, and replay all overlap. A response that is not a digest
+// fails the dispatch, like any other decode error.
+func (c *Coordinator) sendShard(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (shardOutcome, error) {
 	// Named results: the deferred decode-stats collection below must land
 	// in the values the caller sees.
 	return retryShard(ctx, func() (out shardOutcome, err error) {
-		out = shardOutcome{node: wk.name, wire: "binary"}
+		out = shardOutcome{node: wk.name}
 		pr, pw := io.Pipe()
 		cw := &countingWriter{w: pw}
 		encCh := make(chan int64, 1)
@@ -647,7 +600,6 @@ func (c *Coordinator) sendShardBinary(ctx context.Context, wk member, h *history
 			return out, err
 		}
 		req.Header.Set("Content-Type", shardContentTypeV1)
-		req.Header.Set("Accept", digestContentTypeV1)
 		resp, err := c.httpc.Do(req)
 		collectEnc()
 		if err != nil {
@@ -663,79 +615,11 @@ func (c *Coordinator) sendShardBinary(ctx context.Context, wk member, h *history
 		defer func() {
 			out.decodeNS, out.bytesIn = int64(time.Since(decStart)), cr.n
 		}()
-		if !strings.HasPrefix(resp.Header.Get("Content-Type"), digestContentTypeV1) {
-			// The worker downgraded the digest to JSON (it shouldn't, since
-			// we only send binary jobs to workers that advertised the codec,
-			// but a decoder must not trust the peer's symmetry).
-			return out, decodeJSONDigest(cr, wk.name, kr, merger)
-		}
-		_, err = decodeDigest(bufio.NewReaderSize(cr, 64<<10), h.Keys()[kr.lo:kr.hi], func(j int, rec core.KeyShardRecord) error {
+		_, err = decodeDigest(bufio.NewReaderSize(cr, 64<<10), h.Keys()[kr.lo:kr.hi], func(j int, rec *core.KeyRecord) error {
 			return merger.Add(kr.lo+j, rec)
 		})
 		return out, err
 	})
-}
-
-// sendShardJSON is the legacy dispatch: slice, buffer the JSON body,
-// post, decode the JSON digest. Kept wire-compatible with PR-9 peers in
-// both directions.
-func (c *Coordinator) sendShardJSON(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (shardOutcome, error) {
-	slice, _, err := sliceHistory(h, kr)
-	if err != nil {
-		return shardOutcome{node: wk.name, wire: "json"}, err
-	}
-	encStart := time.Now()
-	var buf bytes.Buffer
-	hdr, err := json.Marshal(headerFor(opts, kr.size()))
-	if err != nil {
-		return shardOutcome{node: wk.name, wire: "json"}, err
-	}
-	buf.Write(hdr)
-	buf.WriteByte('\n')
-	if err := histio.Encode(&buf, slice); err != nil {
-		return shardOutcome{node: wk.name, wire: "json"}, err
-	}
-	encodeNS := int64(time.Since(encStart))
-
-	return retryShard(ctx, func() (shardOutcome, error) {
-		out := shardOutcome{node: wk.name, wire: "json", encodeNS: encodeNS, bytesOut: int64(buf.Len())}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.url+"/cluster/shard", bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return out, err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := c.httpc.Do(req)
-		if err != nil {
-			return out, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			return out, apiErrorFrom(resp)
-		}
-		decStart := time.Now()
-		cr := &countingReader{r: resp.Body}
-		err = decodeJSONDigest(cr, wk.name, kr, merger)
-		out.decodeNS, out.bytesIn = int64(time.Since(decStart)), cr.n
-		return out, err
-	})
-}
-
-// decodeJSONDigest decodes a legacy JSON shardResponse and merges its
-// records.
-func decodeJSONDigest(r io.Reader, worker string, kr keyRange, merger *core.ShardMerger) error {
-	var sr shardResponse
-	if err := json.NewDecoder(r).Decode(&sr); err != nil {
-		return fmt.Errorf("decoding digest from %q: %v", worker, err)
-	}
-	if len(sr.Records) != kr.size() {
-		return fmt.Errorf("worker %q returned %d records for %d keys", worker, len(sr.Records), kr.size())
-	}
-	for j := range sr.Records {
-		if err := merger.Add(kr.lo+j, sr.Records[j]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // shardInfo summarizes one shard's digest for the report's cluster
@@ -745,7 +629,7 @@ func decodeJSONDigest(r io.Reader, worker string, kr keyRange, merger *core.Shar
 // also operates on other shards — its polygraph node ties this shard's
 // emissions to theirs, and a cycle through it spans shards. Genesis is
 // considered local everywhere.
-func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []core.KeyShardRecord, node string, local bool) (si obs.ClusterShard, crossEdges, crossCons int) {
+func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []*core.KeyRecord, node string, local bool) (si obs.ClusterShard, crossEdges, crossCons int) {
 	touches := touchesByRange(h, kr)
 	spans := spansByRange(h, kr)
 	ser := opts.Level == core.Serializability
@@ -756,9 +640,9 @@ func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []core.K
 		}
 		return t != 0 && int(t) < len(spans) && spans[t]
 	}
-	anyForeign := func(flat []int32) bool {
-		for _, n := range flat {
-			if foreign(n) {
+	anyForeign := func(es ...core.Edge) bool {
+		for _, e := range es {
+			if foreign(e.From) || foreign(e.To) {
 				return true
 			}
 		}
@@ -771,11 +655,10 @@ func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []core.K
 			si.Txns++
 		}
 	}
-	for i := range recs {
-		rec := &recs[i]
-		si.KnownEdges += len(rec.WR) / 2
-		for j := 0; j+1 < len(rec.WR); j += 2 {
-			if foreign(rec.WR[j]) || foreign(rec.WR[j+1]) {
+	for _, rec := range recs {
+		si.KnownEdges += len(rec.WR)
+		for _, e := range rec.WR {
+			if anyForeign(e) {
 				crossEdges++
 			}
 		}
@@ -789,7 +672,7 @@ func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []core.K
 				continue
 			}
 			si.Constraints++
-			if anyForeign(op.First) || anyForeign(op.Second) {
+			if anyForeign(op.First...) || anyForeign(op.Second...) {
 				crossCons++
 			}
 		}

@@ -3,13 +3,17 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,11 +86,6 @@ func startCoordinator(t *testing.T) (*Coordinator, *testNode) {
 
 func startWorker(t *testing.T, name, coordURL string) (*Worker, *testNode) {
 	t.Helper()
-	return startWorkerCfg(t, name, coordURL, func(*Config) {})
-}
-
-func startWorkerCfg(t *testing.T, name, coordURL string, tweak func(*Config)) (*Worker, *testNode) {
-	t.Helper()
 	srv := server.New(server.Config{Role: "worker", IdleTTL: -1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -94,7 +93,6 @@ func startWorkerCfg(t *testing.T, name, coordURL string, tweak func(*Config)) (*
 	}
 	cfg := fastCfg(name)
 	cfg.AdvertiseURL = "http://" + l.Addr().String()
-	tweak(&cfg)
 	wk, err := NewWorker(srv, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -216,102 +214,86 @@ func TestClusterCheckParity(t *testing.T) {
 	}
 }
 
-// TestClusterMixedWire: a fleet where one worker predates (or has
-// disabled) the binary wire format still produces the single-node
-// verdict — the coordinator speaks binary to capable workers and JSON
-// to the rest, and reports the mix.
-func TestClusterMixedWire(t *testing.T) {
-	coord, cn := startCoordinator(t)
-	startWorker(t, "w1", cn.url)
-	startWorkerCfg(t, "w2", cn.url, func(c *Config) { c.DisableBinaryWire = true })
-	if got := len(coord.healthyMembers()); got != 2 {
-		t.Fatalf("coordinator sees %d healthy members, want 2", got)
-	}
-
-	h := generated(t, workload.NewBlindWRW(), 1500, 29)
-	want := localDoc(h, core.Options{Level: core.AdyaSI})
-
-	cl := server.NewClient(cn.url)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	nodes, err := cl.ClusterNodes(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wires := map[string]string{}
-	for _, n := range nodes.Nodes {
-		wires[n.Name] = n.Wire
-	}
-	if wires["w1"] != "binary" || wires["w2"] != "json" {
-		t.Fatalf("/cluster/nodes wire capabilities %v, want w1=binary w2=json", wires)
-	}
-
-	doc, err := cl.ClusterCheck(ctx, bytes.NewReader(encode(t, h)), server.SessionConfig{Level: "si"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Outcome != want.Outcome.String() {
-		t.Fatalf("mixed-wire outcome %q, single-node %q", doc.Outcome, want.Outcome)
-	}
-	if doc.Graph.Nodes != want.Nodes || doc.Graph.KnownEdges != want.KnownEdges || doc.Graph.Constraints != want.Constraints {
-		t.Fatalf("mixed-wire polygraph (n=%d e=%d c=%d) differs from single-node (n=%d e=%d c=%d)",
-			doc.Graph.Nodes, doc.Graph.KnownEdges, doc.Graph.Constraints,
-			want.Nodes, want.KnownEdges, want.Constraints)
-	}
-	if doc.Cluster == nil || doc.Cluster.LocalFallbacks != 0 {
-		t.Fatalf("mixed-wire cluster section %+v: want no local fallbacks", doc.Cluster)
-	}
-	if doc.Cluster.Wire != "mixed" {
-		t.Fatalf("cluster wire %q, want mixed", doc.Cluster.Wire)
-	}
-	shardWires := map[string]string{}
-	for _, sh := range doc.Cluster.Shards {
-		shardWires[sh.Node] = sh.Wire
-		if sh.WireBytesOut == 0 || sh.WireBytesIn == 0 {
-			t.Fatalf("shard %+v missing wire byte accounting", sh)
+// TestClusterSingleWire: the binary shard wire is the only one. A
+// worker refuses a JSON-bodied shard job with 415, and a coordinator
+// whose worker answers with anything but a well-formed digest — a JSON
+// body, a node id outside the polygraph, edge runs that are not
+// [from, to] pairs — records that shard locally and returns the
+// single-node verdict.
+func TestClusterSingleWire(t *testing.T) {
+	t.Run("json-job-refused", func(t *testing.T) {
+		_, cn := startCoordinator(t)
+		_, wn := startWorker(t, "w1", cn.url)
+		h := generated(t, workload.NewBlindWRW(), 200, 3)
+		body := bytes.NewBufferString(fmt.Sprintf("{\"level\":\"adya-si\",\"keys\":%d}\n", len(h.Keys())))
+		body.Write(encode(t, h))
+		resp, err := http.Post(wn.url+"/cluster/shard", "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if shardWires["w1"] != "binary" || shardWires["w2"] != "json" {
-		t.Fatalf("per-shard wires %v, want w1=binary w2=json", shardWires)
-	}
-}
-
-// TestClusterBinaryWireDisabledCoordinator: turning the codec off on
-// the coordinator side downgrades the whole fleet to JSON with no
-// verdict change — the rolling-upgrade escape hatch.
-func TestClusterBinaryWireDisabledCoordinator(t *testing.T) {
-	srv := server.New(server.Config{Role: "coordinator", IdleTTL: -1})
-	ccfg := fastCfg("coord")
-	ccfg.DisableBinaryWire = true
-	coord, err := NewCoordinator(srv, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn := serveNode(t, srv, coord.Handler(srv.Handler()), coord.Close)
-	startWorker(t, "w1", cn.url)
-	startWorker(t, "w2", cn.url)
-
-	h := generated(t, workload.NewBlindWRW(), 1200, 31)
-	want := localDoc(h, core.Options{Level: core.AdyaSI})
-	cl := server.NewClient(cn.url)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	doc, err := cl.ClusterCheck(ctx, bytes.NewReader(encode(t, h)), server.SessionConfig{Level: "si"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Outcome != want.Outcome.String() {
-		t.Fatalf("json-only outcome %q, single-node %q", doc.Outcome, want.Outcome)
-	}
-	if doc.Cluster == nil || doc.Cluster.Wire != "json" {
-		t.Fatalf("cluster wire %+v, want json across the board", doc.Cluster)
-	}
-	for _, sh := range doc.Cluster.Shards {
-		if sh.Wire != "json" {
-			t.Fatalf("shard %+v negotiated %q with binary disabled", sh, sh.Wire)
+		ae := apiErrorFrom(resp)
+		resp.Body.Close()
+		if ae.Status != http.StatusUnsupportedMediaType || !strings.Contains(ae.Message, shardContentTypeV1) {
+			t.Fatalf("JSON shard job answered %d %q, want 415 naming %s", ae.Status, ae.Message, shardContentTypeV1)
 		}
-	}
+	})
+
+	t.Run("bad-digest-falls-back", func(t *testing.T) {
+		h := wireHistory(40, 5, 1)
+		opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
+		type reply struct {
+			contentType string
+			body        []byte
+		}
+		replies := map[string]reply{"json": {"application/json", []byte(`{"node":"fake","records":[]}`)}}
+		for name, tc := range hostileDigests(t, core.BuildShardRecords(h, opts, h.Keys())) {
+			replies[name] = reply{digestContentTypeV1, tc.digest}
+		}
+
+		// A fake worker: healthy, but its digests are whatever the case
+		// under test serves.
+		var serving atomic.Value
+		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/healthz" {
+				writeJSON(w, http.StatusOK, server.Health{Status: "ok", Live: true, Ready: true})
+				return
+			}
+			io.Copy(io.Discard, req.Body)
+			r := serving.Load().(reply)
+			w.Header().Set("Content-Type", r.contentType)
+			w.Write(r.body)
+		}))
+		defer fake.Close()
+		_, cn := startCoordinator(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		join, err := json.Marshal(JoinRequest{Name: "fake", URL: fake.URL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := postJSON(ctx, http.DefaultClient, cn.url+"/cluster/join", bytes.NewReader(join), "application/json", nil, server.RetryPolicy{}); err != nil {
+			t.Fatal(err)
+		}
+
+		want := localDoc(h, core.Options{Level: core.AdyaSI})
+		cl := server.NewClient(cn.url)
+		for name, r := range replies {
+			serving.Store(r)
+			doc, err := cl.ClusterCheck(ctx, bytes.NewReader(encode(t, h)), server.SessionConfig{Level: "si"})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if doc.Outcome != want.Outcome.String() || doc.Graph.Nodes != want.Nodes ||
+				doc.Graph.KnownEdges != want.KnownEdges || doc.Graph.Constraints != want.Constraints {
+				t.Fatalf("%s: cluster %s (n=%d e=%d c=%d), single-node %s (n=%d e=%d c=%d)", name,
+					doc.Outcome, doc.Graph.Nodes, doc.Graph.KnownEdges, doc.Graph.Constraints,
+					want.Outcome, want.Nodes, want.KnownEdges, want.Constraints)
+			}
+			if doc.Cluster == nil || doc.Cluster.LocalFallbacks != 1 || len(doc.Cluster.Shards) != 1 || !doc.Cluster.Shards[0].Local {
+				t.Fatalf("%s: cluster section %+v, want the one shard recorded locally", name, doc.Cluster)
+			}
+		}
+	})
 }
 
 // TestClusterLifecycle walks the whole story: sessions placed across the

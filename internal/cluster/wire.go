@@ -1,5 +1,7 @@
-// Binary wire format for sharded checking: the length-prefixed varint
-// codec that replaces JSON on the POST /cluster/shard hot path.
+// Wire format for sharded checking: the length-prefixed varint codec of
+// the POST /cluster/shard round trip. It is the only shard wire; a
+// worker answers any other job body with 415, and a coordinator treats
+// any other digest as a failed dispatch (retry, then local recording).
 //
 // Two message types travel between coordinator and worker:
 //
@@ -10,21 +12,17 @@
 //     a running previous value (collectors assign write ids roughly
 //     monotonically, so deltas are small).
 //
-//   - Shard digest (worker → coordinator, "VWD1"): the per-key records
-//     of core.BuildShardRecords. Records travel framed, one per key in
-//     shard key order with key strings omitted (the request's key table
-//     is the implicit order), so the coordinator can replay each record
-//     as it arrives. Node ids — the dense []int32 payloads of
-//     ShardOp — are zigzag-varint deltas against a per-record running
-//     previous value: emission order visits transactions roughly in id
-//     order, so consecutive ids are near each other and most deltas fit
-//     one byte.
-//
-// Negotiation (see coordinator.go/worker.go): workers advertise the
-// codec in their join request, the coordinator labels job bodies with
-// Content-Type and asks for binary digests via Accept, and either side
-// can fall back to JSON — a mixed-version fleet degrades per-worker,
-// never per-check.
+//   - Shard digest (worker → coordinator, "VWD1"): the shard's
+//     core.KeyRecords — the same per-key record the process-local
+//     construction pool produces and the coordinator's ShardMerger
+//     replays. Records travel framed, one per key in shard key order
+//     with key strings omitted (the request's key table is the implicit
+//     order), so the coordinator can replay each record as it arrives.
+//     Edges travel as [from, to, ...] node-id runs prefixed by their
+//     value count; node ids are zigzag-varint deltas against a
+//     per-record running previous value: emission order visits
+//     transactions roughly in id order, so consecutive ids are near each
+//     other and most deltas fit one byte.
 package cluster
 
 import (
@@ -40,13 +38,9 @@ import (
 )
 
 const (
-	// shardContentTypeV1 / digestContentTypeV1 label binary bodies; JSON
-	// peers keep the legacy types and are detected by their absence.
+	// shardContentTypeV1 / digestContentTypeV1 label the binary bodies.
 	shardContentTypeV1  = "application/x-viper-shard-v1"
 	digestContentTypeV1 = "application/x-viper-digest-v1"
-
-	// wireV1 is the capability string workers advertise on join.
-	wireV1 = "v1"
 )
 
 var (
@@ -238,8 +232,8 @@ func (d *wireDec) magic(want [4]byte) {
 // straight from the full history — no intermediate slice History is
 // built; filtering happens as the ops stream out, so encode overlaps
 // with whatever is consuming w (an HTTP request body in flight).
-// The decoded job is identical to sliceHistory(h, kr) shipped through
-// histio (pinned by TestWireShardJobMatchesSlice).
+// The decoded job is the key-sliced history filter.go describes
+// (pinned by TestSliceRecordsEqualFull).
 func encodeShardJob(w io.Writer, h *history.History, kr keyRange, opts core.Options) error {
 	keys := h.Keys()[kr.lo:kr.hi]
 	if len(keys) == 0 {
@@ -470,7 +464,7 @@ func newDigestEncoder(w io.Writer, node string) *digestEncoder {
 // record encodes one key record frame. Node ids (every From/To and
 // constraint-id value) share a single per-record delta chain in
 // emission order.
-func (d *digestEncoder) record(rec *core.KeyShardRecord) error {
+func (d *digestEncoder) record(rec *core.KeyRecord) error {
 	e := d.e
 	e.byte1(digestFrameRecord)
 	var prev int64
@@ -478,13 +472,14 @@ func (d *digestEncoder) record(rec *core.KeyShardRecord) error {
 		e.svarint(int64(v) - prev)
 		prev = int64(v)
 	}
-	deltas := func(vs []int32) {
-		e.uvarint(uint64(len(vs)))
-		for _, v := range vs {
-			delta(v)
+	edges := func(es ...core.Edge) {
+		e.uvarint(uint64(2 * len(es)))
+		for _, ed := range es {
+			delta(ed.From)
+			delta(ed.To)
 		}
 	}
-	deltas(rec.WR)
+	edges(rec.WR...)
 	e.uvarint(uint64(len(rec.Ops)))
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
@@ -498,21 +493,22 @@ func (d *digestEncoder) record(rec *core.KeyShardRecord) error {
 		if op.SBad {
 			flags |= 4
 		}
-		if len(op.ID) == 4 {
+		if op.HasID {
 			flags |= 8
 		}
 		e.byte1(flags)
-		e.byte1(op.Kind)
+		e.byte1(byte(op.Kind))
 		if !op.Cons {
-			deltas(op.Edge)
+			edges(op.Edge)
 			continue
 		}
-		e.byte1(op.Kind2)
-		deltas(op.First)
-		deltas(op.Second)
-		if len(op.ID) == 4 {
-			for _, v := range op.ID {
-				delta(v)
+		e.byte1(byte(op.Kind2))
+		edges(op.First...)
+		edges(op.Second...)
+		if op.HasID {
+			for _, ed := range op.ID {
+				delta(ed.From)
+				delta(ed.To)
 			}
 		}
 	}
@@ -543,7 +539,7 @@ func (d *digestEncoder) buffered() int { return len(*d.e.buf) }
 // and handing it to onRecord as soon as its frame is complete — the
 // coordinator overlaps replay with the worker still recording later
 // keys. Returns the recording node's name.
-func decodeDigest(r *bufio.Reader, keys []history.Key, onRecord func(i int, rec core.KeyShardRecord) error) (string, error) {
+func decodeDigest(r *bufio.Reader, keys []history.Key, onRecord func(i int, rec *core.KeyRecord) error) (string, error) {
 	d := &wireDec{r: r}
 	d.magic(digestMagic)
 	node := d.str("node")
@@ -563,7 +559,7 @@ func decodeDigest(r *bufio.Reader, keys []history.Key, onRecord func(i int, rec 
 				d.fail("wire: digest has more records than the shard's %d keys", len(keys))
 				continue
 			}
-			rec := d.readRecord(string(keys[n]))
+			rec := d.readRecord(keys[n])
 			if d.err != nil {
 				continue
 			}
@@ -578,46 +574,58 @@ func decodeDigest(r *bufio.Reader, keys []history.Key, onRecord func(i int, rec 
 	return node, d.err
 }
 
-func (d *wireDec) readRecord(key string) core.KeyShardRecord {
-	rec := core.KeyShardRecord{Key: key}
+func (d *wireDec) readRecord(key history.Key) *core.KeyRecord {
+	rec := &core.KeyRecord{Key: key}
 	var prev int64
 	delta := func() int32 {
 		prev += d.svarint()
 		return int32(prev)
 	}
-	deltas := func(what string) []int32 {
+	edge := func() core.Edge {
+		from := delta()
+		return core.Edge{From: from, To: delta()}
+	}
+	// edges reads a value-count-prefixed edge run; an odd count cannot be
+	// a run of [from, to] pairs.
+	edges := func(what string) []core.Edge {
 		n := d.count(what)
+		if d.err == nil && n%2 != 0 {
+			d.fail("wire: %s has odd node-id count %d", what, n)
+		}
 		if d.err != nil || n == 0 {
 			return nil
 		}
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = delta()
+		out := make([]core.Edge, 0, min(n/2, 1<<16))
+		for i := 0; i < n/2 && d.err == nil; i++ {
+			out = append(out, edge())
 		}
 		return out
 	}
-	rec.WR = deltas("wr edge")
+	rec.WR = edges("wr edge")
 	nops := d.count("digest op")
 	if d.err != nil || nops == 0 {
 		return rec
 	}
-	rec.Ops = make([]core.ShardOp, 0, min(nops, 1<<16))
+	rec.Ops = make([]core.KeyOp, 0, min(nops, 1<<16))
 	for i := 0; i < nops && d.err == nil; i++ {
 		flags := d.byte1()
-		op := core.ShardOp{
+		op := core.KeyOp{
 			Cons: flags&1 != 0,
 			FBad: flags&2 != 0,
 			SBad: flags&4 != 0,
-			Kind: d.byte1(),
+			Kind: core.EdgeKind(d.byte1()),
 		}
 		if !op.Cons {
-			op.Edge = deltas("edge")
+			if n := d.count("edge"); d.err == nil && n != 2 {
+				d.fail("wire: known edge has %d node ids, want 2", n)
+			}
+			op.Edge = edge()
 		} else {
-			op.Kind2 = d.byte1()
-			op.First = deltas("first side")
-			op.Second = deltas("second side")
+			op.Kind2 = core.EdgeKind(d.byte1())
+			op.First = edges("first side")
+			op.Second = edges("second side")
 			if flags&8 != 0 {
-				op.ID = []int32{delta(), delta(), delta(), delta()}
+				op.ID, op.HasID = [2]core.Edge{edge(), edge()}, true
 			}
 		}
 		rec.Ops = append(rec.Ops, op)

@@ -3,14 +3,16 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"context"
 	"io"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"viper/internal/core"
 	"viper/internal/histgen"
-	"viper/internal/histio"
 	"viper/internal/history"
 )
 
@@ -60,14 +62,14 @@ func roundTripShards(t testing.TB, h *history.History, opts core.Options, shards
 		var digBuf bytes.Buffer
 		enc := newDigestEncoder(&digBuf, "w")
 		for i := range recs {
-			if err := enc.record(&recs[i]); err != nil {
+			if err := enc.record(recs[i]); err != nil {
 				t.Fatalf("range %d: encoding digest: %v", ri, err)
 			}
 		}
 		if err := enc.close(); err != nil {
 			t.Fatalf("range %d: closing digest: %v", ri, err)
 		}
-		_, err = decodeDigest(bufio.NewReader(&digBuf), dkeys, func(j int, rec core.KeyShardRecord) error {
+		_, err = decodeDigest(bufio.NewReader(&digBuf), dkeys, func(j int, rec *core.KeyRecord) error {
 			if !reflect.DeepEqual(rec, full[kr.lo+j]) {
 				t.Fatalf("range %d: record %d mutated by the digest round trip", ri, j)
 			}
@@ -95,6 +97,108 @@ func roundTripShards(t testing.TB, h *history.History, opts core.Options, shards
 	}
 }
 
+// encodeDigest frames recs as a worker's digest.
+func encodeDigest(tb testing.TB, recs []*core.KeyRecord) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc := newDigestEncoder(&buf, "w")
+	for _, rec := range recs {
+		if err := enc.record(rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := enc.close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// hostileDigests are digests for recs' keys whose first record is
+// malformed in a way an honest worker never sends. Each maps to the
+// error text that must stop it: the merger refuses node ids outside the
+// polygraph, the decoder refuses edge runs that are not [from, to]
+// pairs.
+func hostileDigests(tb testing.TB, recs []*core.KeyRecord) map[string]struct {
+	digest []byte
+	want   string
+} {
+	tb.Helper()
+	far := *recs[0]
+	far.WR = append([]core.Edge{{From: 1, To: 1 << 20}}, far.WR...)
+	raw := func(first func(e *wireEnc)) []byte {
+		var buf bytes.Buffer
+		enc := newDigestEncoder(&buf, "w")
+		enc.e.byte1(digestFrameRecord)
+		first(enc.e)
+		enc.n++
+		for _, rec := range recs[1:] {
+			if err := enc.record(rec); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := enc.close(); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	knownEdge := func(ids ...int64) func(e *wireEnc) {
+		return func(e *wireEnc) {
+			e.uvarint(0) // no wr edges
+			e.uvarint(1) // one op: a known edge
+			e.byte1(0)
+			e.byte1(byte(core.EdgeWW))
+			e.uvarint(uint64(len(ids)))
+			for _, id := range ids {
+				e.svarint(id)
+			}
+		}
+	}
+	return map[string]struct {
+		digest []byte
+		want   string
+	}{
+		"node-out-of-range": {encodeDigest(tb, append([]*core.KeyRecord{&far}, recs[1:]...)), "outside the polygraph"},
+		"known-edge-3-ids":  {raw(knownEdge(2, 1, 1)), "known edge has 3 node ids"},
+		"known-edge-0-ids":  {raw(knownEdge()), "known edge has 0 node ids"},
+		"odd-side": {raw(func(e *wireEnc) {
+			e.uvarint(0)
+			e.uvarint(1)
+			e.byte1(1) // constraint
+			e.byte1(byte(core.EdgeWW))
+			e.byte1(byte(core.EdgeWW))
+			e.uvarint(3) // first side: three node ids
+			e.svarint(2)
+			e.svarint(1)
+			e.svarint(2)
+			e.uvarint(2)
+			e.svarint(-3)
+			e.svarint(3)
+		}), "odd node-id count"},
+	}
+}
+
+// TestHostileDigestRejected: a digest naming a node outside the
+// polygraph, or carrying edge runs that are not [from, to] pairs, is an
+// error before it reaches the solver, so the dispatch retries or falls
+// back instead of the solver indexing past its nodes or replaying a
+// dropped or 0→0 edge.
+func TestHostileDigestRejected(t *testing.T) {
+	h := wireHistory(40, 5, 1)
+	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
+	recs := core.BuildShardRecords(h, opts, h.Keys())
+	for name, tc := range hostileDigests(t, recs) {
+		m := core.NewShardMerger(h, opts)
+		_, err := decodeDigest(bufio.NewReader(bytes.NewReader(tc.digest)), h.Keys(),
+			func(i int, rec *core.KeyRecord) error { return m.Add(i, rec) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: merge error %v, want one containing %q", name, err, tc.want)
+		}
+		if _, err := core.CheckMergedContext(context.Background(), m); err == nil {
+			t.Fatalf("%s: merged check succeeded without the refused record", name)
+		}
+	}
+}
+
 // FuzzWireRoundTrip: for arbitrary generated histories, encode→decode→
 // record→digest→merge must reproduce the single-node records and
 // verdict exactly. This is the codec's soundness property — a wire bug
@@ -118,29 +222,39 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDigestDecode throws arbitrary bytes at the digest decoder: it
-// must error or succeed, never panic or spin — the coordinator feeds it
-// network input.
+// FuzzDigestDecode throws arbitrary bytes at the digest decoder and
+// feeds whatever decodes into a ShardMerger and the merged check, as the
+// coordinator does with network input: every stage must error or
+// succeed — never panic or spin.
 func FuzzDigestDecode(f *testing.F) {
 	h := wireHistory(40, 5, 1)
-	recs := core.BuildShardRecords(h, core.Options{Level: core.AdyaSI, Parallelism: 1}, h.Keys())
-	var buf bytes.Buffer
-	enc := newDigestEncoder(&buf, "w")
-	for i := range recs {
-		if err := enc.record(&recs[i]); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := enc.close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
+	recs := core.BuildShardRecords(h, opts, h.Keys())
+	f.Add(encodeDigest(f, recs))
 	f.Add([]byte("VWD1"))
 	f.Add([]byte{})
+	hostile := hostileDigests(f, recs)
+	names := make([]string, 0, len(hostile))
+	for name := range hostile {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(hostile[name].digest)
+	}
 	keys := h.Keys()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeDigest(bufio.NewReader(bytes.NewReader(data)), keys,
-			func(int, core.KeyShardRecord) error { return nil })
+		m := core.NewShardMerger(h, opts)
+		_, err := decodeDigest(bufio.NewReader(bytes.NewReader(data)), keys,
+			func(i int, rec *core.KeyRecord) error { return m.Add(i, rec) })
+		if err != nil {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if rep, err := core.CheckMergedContext(ctx, m); err == nil && rep == nil {
+			t.Fatal("merged check returned neither a report nor an error")
+		}
 	})
 }
 
@@ -171,7 +285,7 @@ func TestWireDecodeTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	enc := newDigestEncoder(&buf, "w")
 	for i := range recs {
-		if err := enc.record(&recs[i]); err != nil {
+		if err := enc.record(recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +296,7 @@ func TestWireDecodeTruncation(t *testing.T) {
 	for _, cut := range []int{0, 1, 4, len(whole) / 2, len(whole) - 1} {
 		n := 0
 		_, err := decodeDigest(bufio.NewReader(bytes.NewReader(whole[:cut])), h.Keys(),
-			func(int, core.KeyShardRecord) error { n++; return nil })
+			func(int, *core.KeyRecord) error { n++; return nil })
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded cleanly (%d records)", cut, len(whole), n)
 		}
@@ -201,50 +315,6 @@ func TestWireDecodeTruncation(t *testing.T) {
 	}
 }
 
-// TestWireSmallerThanJSON pins the point of the codec: the binary job
-// and digest are meaningfully smaller than their JSON/histio
-// equivalents for a representative history.
-func TestWireSmallerThanJSON(t *testing.T) {
-	h := wireHistory(300, 12, 9)
-	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
-	kr := keyRange{lo: 0, hi: len(h.Keys())}
-
-	var bin bytes.Buffer
-	if err := encodeShardJob(&bin, h, kr, opts); err != nil {
-		t.Fatal(err)
-	}
-	slice, _, err := sliceHistory(h, kr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jsonBuf bytes.Buffer
-	if err := histio.Encode(&jsonBuf, slice); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Len()*2 > jsonBuf.Len() {
-		t.Fatalf("binary job %dB not ≤ half of JSON job %dB", bin.Len(), jsonBuf.Len())
-	}
-
-	recs := core.BuildShardRecords(h, opts, h.Keys())
-	var dig bytes.Buffer
-	enc := newDigestEncoder(&dig, "w")
-	for i := range recs {
-		if err := enc.record(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.close(); err != nil {
-		t.Fatal(err)
-	}
-	jsonDig, err := json.Marshal(shardResponse{Node: "w", Records: recs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dig.Len()*2 > len(jsonDig) {
-		t.Fatalf("binary digest %dB not ≤ half of JSON digest %dB", dig.Len(), len(jsonDig))
-	}
-}
-
 // BenchmarkShardDigestEncode is the codec hot loop: allocations here
 // multiply by every key of every shard of every check. The sync.Pool
 // scratch buffers should hold steady-state allocs/op near zero.
@@ -256,7 +326,7 @@ func BenchmarkShardDigestEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		enc := newDigestEncoder(io.Discard, "w")
 		for j := range recs {
-			if err := enc.record(&recs[j]); err != nil {
+			if err := enc.record(recs[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -275,7 +345,7 @@ func TestDigestEncodeAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() {
 		enc := newDigestEncoder(io.Discard, "w")
 		for j := range recs {
-			if err := enc.record(&recs[j]); err != nil {
+			if err := enc.record(recs[j]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -152,7 +152,7 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 	inc.knownKeys = make(map[history.Key]bool)
 	inc.ranges = nil
 	inc.dirty = make(map[history.Key]bool)
-	inc.records = make(map[history.Key]*keyRecord)
+	inc.records = make(map[history.Key]*KeyRecord)
 	inc.chainSigs = make(map[history.Key][][]history.TxnID)
 	inc.pendingWarm = make(map[history.Key]bool)
 	inc.partitionChanged = false

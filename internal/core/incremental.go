@@ -54,7 +54,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -177,7 +176,7 @@ type Incremental struct {
 	knownKeys map[history.Key]bool
 	ranges    []rangeObs
 	dirty     map[history.Key]bool
-	records   map[history.Key]*keyRecord
+	records   map[history.Key]*KeyRecord
 	chainSigs map[history.Key][][]history.TxnID
 
 	// pendingWarm holds keys regenerated since the last warm encode.
@@ -225,7 +224,7 @@ func NewIncremental(opts Options) *Incremental {
 		writers:     make(map[history.Key][]history.TxnID),
 		knownKeys:   make(map[history.Key]bool),
 		dirty:       make(map[history.Key]bool),
-		records:     make(map[history.Key]*keyRecord),
+		records:     make(map[history.Key]*KeyRecord),
 		chainSigs:   make(map[history.Key][][]history.TxnID),
 		pendingWarm: make(map[history.Key]bool),
 	}
@@ -529,12 +528,10 @@ func (inc *Incremental) update() {
 // regenKey rebuilds one key's emission record and chain partition from the
 // current indexes. lite is only consulted for the node mapping (classify);
 // it is shared read-only across workers.
-func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coalesce bool) (*keyRecord, [][]history.TxnID) {
+func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coalesce bool) (*KeyRecord, [][]history.TxnID) {
 	writers := inc.writers[key]
 	byWriter := inc.readers[key]
-	rec := &keyRecord{}
-	recordReadDeps(lite, byWriter, rec)
-	lite.buildKeyConstraints(key, writers, byWriter, combine, coalesce, keyRecorder{pg: lite, rec: rec})
+	rec := lite.recordKey(key, writers, byWriter, combine, coalesce)
 	chains := lite.writerChains(writers, byWriter, combine)
 	sig := make([][]history.TxnID, len(chains))
 	for i, c := range chains {
@@ -543,12 +540,11 @@ func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coal
 	return rec, sig
 }
 
-// regen rebuilds the emission records of every dirty written key (under a
-// work-stealing pool when Options.Parallelism admits one — per-key records
-// are independent, and per-key costs vary wildly) and flags any chain
-// partition that was not preserved verbatim. It returns the pass's wall
-// time, summed per-worker busy time, and worker count for the report's
-// construction accounting.
+// regen rebuilds the emission records of every dirty written key on the
+// construction pool (per-key records are independent, and per-key costs
+// vary wildly) and flags any chain partition that was not preserved
+// verbatim. It returns the pass's wall time, summed per-worker busy time,
+// and worker count for the report's construction accounting.
 func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
 	keys := make([]history.Key, 0, len(inc.dirty))
 	for k := range inc.dirty {
@@ -564,42 +560,12 @@ func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
 
 	combine, coalesce := !inc.opts.DisableCombineWrites, !inc.opts.DisableCoalesce
 	lite := &Polygraph{ser: inc.ser()}
-	recs := make([]*keyRecord, len(keys))
+	recs := make([]*KeyRecord, len(keys))
 	sigs := make([][][]history.TxnID, len(keys))
-
-	n := inc.opts.workers()
-	start := time.Now()
-	if n <= 1 {
-		workers = 1
-		for i, key := range keys {
-			recs[i], sigs[i] = inc.regenKey(lite, key, combine, coalesce)
-		}
-		wall = time.Since(start)
-		cpu = wall
-	} else {
-		workers = n
-		var busy atomic.Int64
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				t0 := time.Now()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(keys) {
-						break
-					}
-					recs[i], sigs[i] = inc.regenKey(lite, keys[i], combine, coalesce)
-				}
-				busy.Add(int64(time.Since(t0)))
-			}()
-		}
-		wg.Wait()
-		wall = time.Since(start)
-		cpu = time.Duration(busy.Load())
-	}
+	workers = max(1, inc.opts.workers())
+	wall, cpu, _ = runPool(workers, len(keys), func(i int) {
+		recs[i], sigs[i] = inc.regenKey(lite, keys[i], combine, coalesce)
+	}, nil)
 
 	for i, key := range keys {
 		inc.records[key] = recs[i]
@@ -635,51 +601,15 @@ func chainsPreserved(old, cur [][]history.TxnID) bool {
 	return true
 }
 
-// assemble materializes the record store as a Polygraph, replaying per-key
-// records in the serial build's emission order (the same replay the
-// sharded batch build uses, so the result is byte-identical to Build for
-// the same history).
+// assemble materializes the record store as a Polygraph through the
+// shared skeleton and replay (parallel.go), so the result is
+// byte-identical to Build for the same history.
 func (inc *Incremental) assemble() *Polygraph {
-	h := inc.h
-	pg := &Polygraph{
-		H:        h,
-		Level:    inc.opts.Level,
-		ser:      inc.ser(),
-		knownSet: make(map[Edge]bool),
-	}
-	pg.NumNodes = inc.numNodes()
-	pg.auxBase = pg.NumNodes
-	pg.initNodeTS()
+	pg := newPolygraph(inc.h, inc.opts.Level)
 	pg.buildWorkers = 1
-
-	if !pg.ser {
-		for _, t := range h.Txns {
-			if t.Committed() {
-				pg.addKnown(Edge{pg.Begin(t.ID), pg.Commit(t.ID)}, EdgeIntra, "")
-			}
-		}
-	}
-	keys := h.Keys()
-	for _, key := range keys {
-		if rec := inc.records[key]; rec != nil {
-			for _, e := range rec.wr {
-				pg.addKnown(e, EdgeWR, key)
-			}
-		}
-	}
-	for _, key := range keys {
-		if rec := inc.records[key]; rec != nil {
-			for j := range rec.ops {
-				pg.applyOp(&rec.ops[j], key)
-			}
-		}
-	}
-	if inc.opts.Level == StrongSessionSI {
-		pg.addSessionEdges()
-	}
-	if inc.opts.Level.needsRealTime() {
-		pg.addRealTimeEdges(inc.opts)
-	}
+	keys := inc.h.Keys()
+	pg.replay(len(keys), func(i int) *KeyRecord { return inc.records[keys[i]] })
+	pg.addVariantEdges(inc.opts)
 	return pg
 }
 
@@ -809,42 +739,42 @@ encode:
 		if rec == nil {
 			continue
 		}
-		for _, e := range rec.wr {
+		for _, e := range rec.WR {
 			if !insert(e, EdgeWR, key) {
 				break encode
 			}
 		}
 		kcons := w.cons[key]
-		for j := range rec.ops {
-			op := &rec.ops[j]
-			if !op.cons {
-				if !insert(op.edge, op.kind, key) {
+		for j := range rec.Ops {
+			op := &rec.Ops[j]
+			if !op.Cons {
+				if !insert(op.Edge, op.Kind, key) {
 					break encode
 				}
 				continue
 			}
-			if op.fBad || op.sBad || (!op.hasID && len(op.first) > 0 && len(op.second) > 0) {
+			if op.FBad || op.SBad || (!op.HasID && len(op.First) > 0 && len(op.Second) > 0) {
 				// Outside the warm invariants (chain-pair constraints never
 				// carry impossible sides); rebuild cold next time.
 				inc.warm = nil
 				encReg.End()
 				return nil
 			}
-			if len(op.first) == 0 || len(op.second) == 0 {
+			if len(op.First) == 0 || len(op.Second) == 0 {
 				continue // one side holds trivially
 			}
-			st := kcons[op.id]
+			st := kcons[op.ID]
 			if st == nil {
-				st = &consState{sel: w.s.NewVar(), kind1: op.kind, kind2: op.kind2, key: key}
+				st = &consState{sel: w.s.NewVar(), kind1: op.Kind, kind2: op.Kind2, key: key}
 				if kcons == nil {
 					kcons = make(map[[2]Edge]*consState)
 					w.cons[key] = kcons
 				}
-				kcons[op.id] = st
+				kcons[op.ID] = st
 				w.consList = append(w.consList, st)
 				if !opts.DisablePhaseBias {
 					fwd := true
-					for _, e := range op.first {
+					for _, e := range op.First {
 						if w.th.Order(e.From) >= w.th.Order(e.To) {
 							fwd = false
 							break
@@ -853,7 +783,7 @@ encode:
 					w.s.SetPhase(st.sel, fwd)
 				}
 			}
-			for _, e := range op.first[len(st.first):] {
+			for _, e := range op.First[len(st.first):] {
 				se := sideEdge{e: e, lit: sat.LitUndef}
 				if st.encoded {
 					se.lit = edgeLit(e)
@@ -861,7 +791,7 @@ encode:
 				}
 				st.first = append(st.first, se)
 			}
-			for _, e := range op.second[len(st.second):] {
+			for _, e := range op.Second[len(st.second):] {
 				se := sideEdge{e: e, lit: sat.LitUndef}
 				if st.encoded {
 					se.lit = edgeLit(e)

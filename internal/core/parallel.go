@@ -1,28 +1,35 @@
-// Sharded BC-polygraph construction.
+// Sharded BC-polygraph construction: the record-and-replay plumbing every
+// construction path except Build's serial branch runs on.
 //
 // Constraint generation is O(n²) in the worst case (pairwise writer-chain
 // constraints per key) but independent across keys, and read collection is
-// independent across transactions. The sharded build exploits both:
+// independent across transactions. Construction therefore splits into a
+// per-key recording pass and a serial replay, with one copy of each piece:
 //
-//  1. Read collection shards the transaction list into contiguous ranges,
-//     one readers index per worker, merged in shard order. Contiguity
-//     keeps each per-(key, writer) reader list in transaction order, and
-//     a (key, writer, reader) triple can only be produced by the reader's
-//     own shard, so concatenating shard lists in shard order reproduces
-//     the serial index exactly.
-//  2. The per-key pass (read-dependency edges + writer chains +
-//     constraints) runs under a work-stealing pool: workers claim key
-//     indices from an atomic cursor (per-key costs vary wildly) and write
-//     their output into a slice indexed by key position, so the schedule
-//     cannot influence the result.
-//  3. A serial replay merges the per-key records in exactly the order the
-//     serial build emits them: all read-dependency edges in ascending key
-//     order, then each key's constraint-pass emissions in ascending key
-//     order. The knownSet-dependent steps — duplicate-edge suppression
-//     and dropping constraint-side edges that are already certain — are
-//     deferred to this replay, where the evolving known set matches the
-//     serial build's state at the same point. The result is therefore
-//     byte-identical to the serial build for any worker count.
+//   - The skeleton (newPolygraph, polygraph.go): node layout, wall-clock
+//     hints, and intra-transaction edges.
+//   - The pool (runPool): workers claim indices from an atomic cursor
+//     (per-key costs vary wildly) and write their output into a slice
+//     indexed by position, so the schedule cannot influence the result.
+//     Read collection shards the transaction list into contiguous ranges
+//     on it (collectReadsSharded); the per-key recording pass (recordKey →
+//     KeyRecord) runs on it for Build (recordKeys), for cluster workers
+//     (BuildShardRecordsOrdered), and for Incremental.regen.
+//   - The replay (replay, replayWR, replayOps): the per-key records fold
+//     into the polygraph in exactly the order the serial build emits them —
+//     all read-dependency edges in ascending key order, then each key's
+//     constraint-pass emissions in ascending key order. The knownSet-
+//     dependent steps (duplicate-edge suppression and dropping
+//     constraint-side edges that are already certain) are deferred to this
+//     replay, where the evolving known set matches the serial build's
+//     state at the same point. Build's sharded branch, Incremental.assemble
+//     and the cluster coordinator's ShardMerger all replay through it, so
+//     each is byte-identical to the serial build for any worker count.
+//
+// Read collection merges per-worker indexes in shard order: contiguity
+// keeps each per-(key, writer) reader list in transaction order, and a
+// (key, writer, reader) triple can only be produced by the reader's own
+// shard, so concatenating shard lists reproduces the serial index exactly.
 package core
 
 import (
@@ -33,50 +40,54 @@ import (
 	"viper/internal/history"
 )
 
-// keyOp is one recorded emission of the per-key constraint pass.
-type keyOp struct {
-	cons bool // false: known-edge add; true: constraint
+// KeyOp is one recorded emission of the per-key constraint pass.
+type KeyOp struct {
+	Cons bool // false: known-edge add; true: constraint
 
 	// Known-edge add (classify already applied; edgeNormal only).
-	edge Edge
-	kind EdgeKind // also the first side's kind for constraints
+	Edge Edge
+	Kind EdgeKind // also the first side's kind for constraints
 
 	// Constraint: sides resolved through classify, with knownSet
-	// filtering deferred to the replay. fBad/sBad mark sides containing
+	// filtering deferred to the replay. FBad/SBad mark sides containing
 	// an impossible edge.
-	first, second []Edge
-	fBad, sBad    bool
-	kind2         EdgeKind
+	First, Second []Edge
+	FBad, SBad    bool
+	Kind2         EdgeKind
 
-	// id is a cross-audit identity for the constraint, used by the
+	// ID is a cross-audit identity for the constraint, used by the
 	// incremental checker to match a regenerated constraint with the one
 	// it encoded in an earlier audit round: the classified leading edge of
 	// each side. Each side's leading edge is the pair's ww edge (or, for
 	// uncoalesced reader constraints, the reader's rw edge), which pins
 	// down the chain pair (and reader) independently of how the remaining
-	// side members grow as new readers arrive. hasID is false when either
+	// side members grow as new readers arrive. HasID is false when either
 	// side was empty or its leading edge did not classify as a normal
 	// edge; such constraints are never warm-matched.
-	id    [2]Edge
-	hasID bool
+	ID    [2]Edge
+	HasID bool
 }
 
-// keyRecord is everything one key contributes to the polygraph.
-type keyRecord struct {
-	wr  []Edge  // read-dependency edges, in serial emission order
-	ops []keyOp // constraint-pass emissions, in serial emission order
+// KeyRecord is everything one key contributes to the polygraph. Node ids
+// are global — derived from transaction ids alone — so records computed
+// over disjoint key sets (by different pool workers, or by different
+// cluster nodes) compose.
+type KeyRecord struct {
+	Key history.Key
+	WR  []Edge  // read-dependency edges, in serial emission order
+	Ops []KeyOp // constraint-pass emissions, in serial emission order
 }
 
 // keyRecorder is the constraintSink that records emissions instead of
 // applying them; pg is only read (classify), never written.
 type keyRecorder struct {
 	pg  *Polygraph
-	rec *keyRecord
+	rec *KeyRecord
 }
 
 func (kr keyRecorder) knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key) {
 	if e, cls := kr.pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
-		kr.rec.ops = append(kr.rec.ops, keyOp{edge: e, kind: kind})
+		kr.rec.Ops = append(kr.rec.Ops, KeyOp{Edge: e, Kind: kind})
 	}
 }
 
@@ -96,70 +107,93 @@ func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKin
 	}
 	f, fBad := resolve(first)
 	s, sBad := resolve(second)
-	op := keyOp{
-		cons: true, first: f, second: s, fBad: fBad, sBad: sBad,
-		kind: kind1, kind2: kind2,
+	op := KeyOp{
+		Cons: true, First: f, Second: s, FBad: fBad, SBad: sBad,
+		Kind: kind1, Kind2: kind2,
 	}
 	if len(first) > 0 && len(second) > 0 {
 		e0, cls0 := kr.pg.classify(first[0].fromT, first[0].fromCommit, first[0].toT, first[0].toCommit)
 		e1, cls1 := kr.pg.classify(second[0].fromT, second[0].fromCommit, second[0].toT, second[0].toCommit)
 		if cls0 == edgeNormal && cls1 == edgeNormal {
-			op.id = [2]Edge{e0, e1}
-			op.hasID = true
+			op.ID = [2]Edge{e0, e1}
+			op.HasID = true
 		}
 	}
-	kr.rec.ops = append(kr.rec.ops, op)
+	kr.rec.Ops = append(kr.rec.Ops, op)
 }
 
-// buildSharded is the parallel counterpart of Build's read-dependency and
-// constraint passes.
-func (pg *Polygraph) buildSharded(opts Options, workers int) {
-	h := pg.H
-	keys := h.Keys()
-	pg.buildWorkers = workers
-
-	readers := pg.collectReadsSharded(workers)
-	wbk := writersByKey(h)
-
-	outs := make([]keyRecord, len(keys))
-	combine, coalesce := !opts.DisableCombineWrites, !opts.DisableCoalesce
-	var cursor atomic.Int64
-	pg.runShards(workers, func(int) {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(keys) {
-				return
-			}
-			key := keys[i]
-			byWriter := readers[key]
-			recordReadDeps(pg, byWriter, &outs[i])
-			pg.buildKeyConstraints(key, wbk[key], byWriter, combine, coalesce, keyRecorder{pg: pg, rec: &outs[i]})
-		}
-	})
-
-	// Deterministic replay, in serial emission order.
-	for i, key := range keys {
-		for _, e := range outs[i].wr {
-			pg.addKnown(e, EdgeWR, key)
-		}
-	}
-	for i, key := range keys {
-		for j := range outs[i].ops {
-			pg.applyOp(&outs[i].ops[j], key)
-		}
-	}
-}
-
-// recordReadDeps records one key's read-dependency edges in the order the
-// serial pass emits them (addReadDeps' inner loops).
-func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, rec *keyRecord) {
+// recordKey runs the per-key recording pass for one key: its
+// read-dependency edges in the order the serial pass emits them
+// (addReadDeps' inner loops), then its constraint-pass emissions. pg is
+// only consulted for the node mapping, so one pg serves every worker.
+func (pg *Polygraph) recordKey(key history.Key, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool) *KeyRecord {
+	rec := &KeyRecord{Key: key}
 	for _, w := range sortedTxns(byWriter) {
 		if w == history.GenesisID {
 			continue
 		}
 		for _, r := range byWriter[w] {
 			if e, cls := pg.classify(w, true, r, false); cls == edgeNormal {
-				rec.wr = append(rec.wr, e)
+				rec.WR = append(rec.WR, e)
+			}
+		}
+	}
+	pg.buildKeyConstraints(key, writers, byWriter, combine, coalesce, keyRecorder{pg: pg, rec: rec})
+	return rec
+}
+
+// recordKeys runs the recording pass over keys (ascending, a subset of
+// h.Keys()) on the pool and hands each key's record to emit in key order
+// (see runPool); a record is dropped once emitted. It returns the wall
+// and summed busy time of its parallel sections.
+func recordKeys(h *history.History, opts Options, keys []history.Key, emit func(i int, rec *KeyRecord) error) (wall, cpu time.Duration, err error) {
+	if len(keys) == 0 {
+		return 0, 0, nil
+	}
+	lite := &Polygraph{H: h, ser: opts.Level == Serializability}
+	workers := opts.workers()
+	readers, wall, cpu := lite.collectReadsSharded(workers)
+	wbk := writersByKey(h)
+	combine, coalesce := !opts.DisableCombineWrites, !opts.DisableCoalesce
+	recs := make([]*KeyRecord, len(keys))
+	w, c, err := runPool(workers, len(keys), func(i int) {
+		recs[i] = lite.recordKey(keys[i], wbk[keys[i]], readers[keys[i]], combine, coalesce)
+	}, func(i int) error {
+		rec := recs[i]
+		recs[i] = nil // release as we go: a cluster shard may be large
+		return emit(i, rec)
+	})
+	return wall + w, cpu + c, err
+}
+
+// replay folds the records of n keys, in ascending key order, into pg:
+// every key's read-dependency edges first, then every key's
+// constraint-pass emissions. rec(i) is the i-th key's record, or nil when
+// the key contributes nothing.
+func (pg *Polygraph) replay(n int, rec func(i int) *KeyRecord) {
+	for i := 0; i < n; i++ {
+		if r := rec(i); r != nil {
+			pg.replayWR(r)
+		}
+	}
+	pg.replayOps(n, rec)
+}
+
+// replayWR is replay's first pass for one key. It depends on no later
+// key, so ShardMerger runs it as records arrive.
+func (pg *Polygraph) replayWR(r *KeyRecord) {
+	for _, e := range r.WR {
+		pg.addKnown(e, EdgeWR, r.Key)
+	}
+}
+
+// replayOps is replay's second pass; it consults the known set, so it
+// must see every key's read-dependency edges first.
+func (pg *Polygraph) replayOps(n int, rec func(i int) *KeyRecord) {
+	for i := 0; i < n; i++ {
+		if r := rec(i); r != nil {
+			for j := range r.Ops {
+				pg.applyOp(&r.Ops[j], r.Key)
 			}
 		}
 	}
@@ -168,21 +202,21 @@ func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, r
 // applyOp replays one recorded emission against the live polygraph,
 // performing the knownSet-dependent steps the workers deferred. This
 // mirrors addConstraint's case analysis exactly.
-func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
-	if !op.cons {
-		pg.addKnown(op.edge, op.kind, key)
+func (pg *Polygraph) applyOp(op *KeyOp, key history.Key) {
+	if !op.Cons {
+		pg.addKnown(op.Edge, op.Kind, key)
 		return
 	}
 	switch {
-	case op.fBad && op.sBad:
+	case op.FBad && op.SBad:
 		pg.Contradiction = true
-	case op.fBad:
-		for _, e := range op.second {
-			pg.addKnown(e, op.kind2, key)
+	case op.FBad:
+		for _, e := range op.Second {
+			pg.addKnown(e, op.Kind2, key)
 		}
-	case op.sBad:
-		for _, e := range op.first {
-			pg.addKnown(e, op.kind, key)
+	case op.SBad:
+		for _, e := range op.First {
+			pg.addKnown(e, op.Kind, key)
 		}
 	default:
 		// Filter without mutating the record: a session replays the same
@@ -205,45 +239,40 @@ func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
 			}
 			return side
 		}
-		f, s := filter(op.first), filter(op.second)
+		f, s := filter(op.First), filter(op.Second)
 		if len(f) == 0 || len(s) == 0 {
 			// One side holds trivially: the constraint imposes nothing.
 			return
 		}
-		pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: op.kind, Kind2: op.kind2, Key: key})
+		pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: op.Kind, Kind2: op.Kind2, Key: key})
 	}
 }
 
 // collectReadsSharded is collectReads over contiguous per-worker
-// transaction ranges, merged in shard order.
-func (pg *Polygraph) collectReadsSharded(workers int) map[history.Key]map[history.TxnID][]history.TxnID {
+// transaction ranges on the pool, merged in shard order. It also returns
+// the pass's wall and summed busy time.
+func (pg *Polygraph) collectReadsSharded(workers int) (map[history.Key]map[history.TxnID][]history.TxnID, time.Duration, time.Duration) {
 	txns := pg.H.Txns[1:]
 	if workers > len(txns) {
 		workers = len(txns)
 	}
+	if workers < 1 {
+		workers = 1
+	}
 	shards := make([]map[history.Key]map[history.TxnID][]history.TxnID, workers)
 	per := (len(txns) + workers - 1) / workers
-	pg.runShards(workers, func(w int) {
-		lo := w * per
-		hi := lo + per
-		if hi > len(txns) {
-			hi = len(txns)
-		}
-		if lo >= hi {
-			return
-		}
+	wall, cpu, _ := runPool(workers, workers, func(w int) {
+		lo := min(w*per, len(txns))
+		hi := min(lo+per, len(txns))
 		m := make(map[history.Key]map[history.TxnID][]history.TxnID)
 		pg.collectReadsInto(m, txns[lo:hi])
 		shards[w] = m
-	})
+	}, nil)
 
 	// Merge in shard order: per-(key, writer) lists concatenate in
 	// transaction order, and no (key, writer, reader) triple can appear
 	// in two shards, so no cross-shard dedup is needed.
 	merged := shards[0]
-	if merged == nil {
-		merged = make(map[history.Key]map[history.TxnID][]history.TxnID)
-	}
 	for _, m := range shards[1:] {
 		for key, byW := range m {
 			dst := merged[key]
@@ -256,25 +285,59 @@ func (pg *Polygraph) collectReadsSharded(workers int) map[history.Key]map[histor
 			}
 		}
 	}
-	return merged
+	return merged, wall, cpu
 }
 
-// runShards runs fn(worker) on n goroutines and folds the section's wall
-// time and summed per-worker busy time into the build timings.
-func (pg *Polygraph) runShards(n int, fn func(worker int)) {
+// runPool is the work-stealing pool every parallel construction pass
+// runs on: up to workers goroutines claim indices [0, n) from an atomic
+// cursor and run fn on each. When emit is non-nil it is called from the
+// calling goroutine for each index in ascending order as soon as fn has
+// finished every index up to it — while later indices still run — and an
+// emit error stops the pool and is returned. wall is the pass's elapsed
+// time, cpu the summed per-worker busy time.
+func runPool(workers, n int, fn func(i int), emit func(i int) error) (wall, cpu time.Duration, err error) {
+	workers = max(1, min(workers, n))
 	start := time.Now()
-	var busy atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
+	var (
+		cursor, busy atomic.Int64
+		abort        atomic.Bool
+		wg           sync.WaitGroup
+		done         []atomic.Bool
+		ready        chan struct{}
+	)
+	if emit != nil {
+		done = make([]atomic.Bool, n)
+		ready = make(chan struct{}, n)
+	}
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			t0 := time.Now()
-			fn(w)
+			for !abort.Load() {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
+					break
+				}
+				fn(i)
+				if emit != nil {
+					done[i].Store(true)
+					ready <- struct{}{}
+				}
+			}
 			busy.Add(int64(time.Since(t0)))
-		}(w)
+		}()
+	}
+	for next := 0; emit != nil && next < n && err == nil; {
+		if !done[next].Load() {
+			<-ready
+			continue
+		}
+		if err = emit(next); err != nil {
+			abort.Store(true)
+		}
+		next++
 	}
 	wg.Wait()
-	pg.parWall += time.Since(start)
-	pg.parCPU += time.Duration(busy.Load())
+	return time.Since(start), time.Duration(busy.Load()), err
 }

@@ -111,12 +111,9 @@ type Polygraph struct {
 
 	// Construction timing: buildWall is wall-clock time, buildCPU the same
 	// work summed across workers (equal for a serial build), buildWorkers
-	// the resolved worker count. parWall/parCPU account the parallel
-	// sections only (see parallel.go).
+	// the resolved worker count.
 	buildWall    time.Duration
 	buildCPU     time.Duration
-	parWall      time.Duration
-	parCPU       time.Duration
 	buildWorkers int
 }
 
@@ -282,32 +279,17 @@ func (c *chain) tail() history.TxnID { return c.members[len(c.members)-1] }
 // (parallel.go); the resulting polygraph is identical to the serial build.
 func Build(h *history.History, opts Options) *Polygraph {
 	start := time.Now()
-	pg := &Polygraph{
-		H:        h,
-		Level:    opts.Level,
-		ser:      opts.Level == Serializability,
-		knownSet: make(map[Edge]bool),
-	}
-	if pg.ser {
-		pg.NumNodes = int32(len(h.Txns))
-	} else {
-		pg.NumNodes = int32(len(h.Txns)) * 2
-	}
-	pg.auxBase = pg.NumNodes
-	pg.initNodeTS()
-
-	// Intra-transaction dependency edges (begin → commit); no-ops under
-	// the Serializability mapping.
-	if !pg.ser {
-		for _, t := range h.Txns {
-			if t.Committed() {
-				pg.addKnown(Edge{pg.Begin(t.ID), pg.Commit(t.ID)}, EdgeIntra, "")
-			}
-		}
-	}
-
+	pg := newPolygraph(h, opts.Level)
+	var parWall, parCPU time.Duration
 	if w := opts.workers(); w > 1 && len(h.Keys()) > 0 && h.Len() > 1 {
-		pg.buildSharded(opts, w)
+		pg.buildWorkers = w
+		keys := h.Keys()
+		recs := make([]*KeyRecord, len(keys))
+		parWall, parCPU, _ = recordKeys(h, opts, keys, func(i int, rec *KeyRecord) error {
+			recs[i] = rec
+			return nil
+		})
+		pg.replay(len(keys), func(i int) *KeyRecord { return recs[i] })
 	} else {
 		pg.buildWorkers = 1
 		readers := pg.collectReads()
@@ -318,17 +300,48 @@ func Build(h *history.History, opts Options) *Polygraph {
 			pg.buildKeyConstraints(key, writersByKey[key], readers[key], !opts.DisableCombineWrites, !opts.DisableCoalesce, pg)
 		}
 	}
+	pg.addVariantEdges(opts)
+	pg.buildWall = time.Since(start)
+	pg.buildCPU = pg.buildWall - parWall + parCPU
+	return pg
+}
 
-	// Variant edges.
+// newPolygraph lays out the skeleton every construction path starts
+// from: the level's node mapping, per-node wall-clock hints, and the
+// intra-transaction edges (begin → commit; none under the
+// Serializability mapping).
+func newPolygraph(h *history.History, level Level) *Polygraph {
+	pg := &Polygraph{
+		H:        h,
+		Level:    level,
+		ser:      level == Serializability,
+		knownSet: make(map[Edge]bool),
+	}
+	pg.NumNodes = int32(len(h.Txns))
+	if !pg.ser {
+		pg.NumNodes *= 2
+	}
+	pg.auxBase = pg.NumNodes
+	pg.initNodeTS()
+	if !pg.ser {
+		for _, t := range h.Txns {
+			if t.Committed() {
+				pg.addKnown(Edge{pg.Begin(t.ID), pg.Commit(t.ID)}, EdgeIntra, "")
+			}
+		}
+	}
+	return pg
+}
+
+// addVariantEdges adds the level's session and real-time edges (§5),
+// after every key's emissions.
+func (pg *Polygraph) addVariantEdges(opts Options) {
 	if opts.Level == StrongSessionSI {
 		pg.addSessionEdges()
 	}
 	if opts.Level.needsRealTime() {
 		pg.addRealTimeEdges(opts)
 	}
-	pg.buildWall = time.Since(start)
-	pg.buildCPU = pg.buildWall - pg.parWall + pg.parCPU
-	return pg
 }
 
 // addReadDeps emits the read-dependency edges: commit of writer → begin of

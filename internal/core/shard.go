@@ -1,19 +1,16 @@
 // Distributed shard records: the record-and-replay seam of parallel.go
 // lifted across process boundaries.
 //
-// The sharded build (parallel.go) already splits construction into two
-// halves with a clean data interface between them: a per-key recording
-// pass that needs nothing but the history and a deterministic replay
-// that folds the records into the polygraph in serial emission order.
 // Workers in a cluster run the recording pass over their key range and
-// ship the records — the "digest" of everything their shard contributes
-// to the global polygraph: read-dependency edges, writer-chain known
-// edges, and undecided either/or constraints, all referencing global
-// node ids. The coordinator replays every shard's records in ascending
-// key order, exactly as buildSharded's replay loop would have, so the
-// merged polygraph — and therefore the verdict and any violation
-// evidence — is byte-identical to a single-node Build over the full
-// history for any shard count and any assignment of keys to shards.
+// ship the KeyRecords — the "digest" of everything their shard
+// contributes to the global polygraph: read-dependency edges,
+// writer-chain known edges, and undecided either/or constraints, all
+// referencing global node ids. The coordinator replays every shard's
+// records in ascending key order through the same replay Build and
+// Incremental use, so the merged polygraph — and therefore the verdict
+// and any violation evidence — is byte-identical to a single-node Build
+// over the full history for any shard count and any assignment of keys
+// to shards.
 //
 // Two streaming seams let the cluster overlap this work with the
 // network: BuildShardRecordsOrdered emits each key's record as soon as
@@ -22,220 +19,39 @@
 // read-dependency pass incrementally behind a contiguous-key frontier.
 // The constraint-pass replay is order-sensitive across keys (duplicate
 // suppression against the evolving known set), so it runs at Finish,
-// after every record has arrived; the merged polygraph is still
-// byte-identical to the batch merge and to a single-node Build.
-//
-// The types here are wire-friendly (flat int32 edge arrays, short JSON
-// tags) because internal/cluster serializes them between nodes.
+// after every record has arrived.
 package core
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"viper/internal/history"
 )
 
-// ShardOp is one recorded emission of the per-key constraint pass, in
-// wire form (keyOp with edges flattened to [from,to,...] int32 runs).
-type ShardOp struct {
-	// Cons distinguishes the two emission kinds: false is a known-edge
-	// add (Edge/Kind), true an either/or constraint (First/Second/...).
-	Cons bool `json:"c,omitempty"`
-
-	// Known-edge add: Edge holds [from, to].
-	Edge []int32 `json:"e,omitempty"`
-	Kind uint8   `json:"k,omitempty"` // EdgeKind; also the first side's kind for constraints
-
-	// Constraint sides, flattened from,to pairs. FBad/SBad mark sides
-	// that contained an impossible edge at record time.
-	First  []int32 `json:"f,omitempty"`
-	Second []int32 `json:"s,omitempty"`
-	FBad   bool    `json:"fb,omitempty"`
-	SBad   bool    `json:"sb,omitempty"`
-	Kind2  uint8   `json:"k2,omitempty"`
-
-	// ID is the constraint's cross-audit identity ([from1,to1,from2,to2])
-	// when it has one; empty otherwise.
-	ID []int32 `json:"id,omitempty"`
+// BuildShardRecordsOrdered runs the per-key recording pass over keys
+// (ascending, a subset of h.Keys()) and hands each key's record to emit
+// in key-index order, calling emit for key i as soon as every key ≤ i has
+// been recorded — while the pool is still recording later keys. This is
+// the streaming seam the cluster worker uses to put early records on the
+// wire before the shard finishes. emit is called from the calling
+// goroutine only. An emit error aborts the remaining work and is
+// returned. opts.Parallelism bounds the local worker pool; the records
+// are identical for any worker count.
+func BuildShardRecordsOrdered(h *history.History, opts Options, keys []history.Key, emit func(i int, rec *KeyRecord) error) error {
+	_, _, err := recordKeys(h, opts, keys, emit)
+	return err
 }
 
-// KeyShardRecord is everything one key contributes to the polygraph, in
-// wire form: the digest unit workers ship to the coordinator.
-type KeyShardRecord struct {
-	Key string `json:"key"`
-	// WR is the key's read-dependency edges, flattened from,to pairs, in
-	// serial emission order.
-	WR []int32 `json:"wr,omitempty"`
-	// Ops is the key's constraint-pass emissions, in serial emission
-	// order.
-	Ops []ShardOp `json:"ops,omitempty"`
-}
-
-func flattenEdges(es []Edge) []int32 {
-	if len(es) == 0 {
-		return nil
-	}
-	out := make([]int32, 0, 2*len(es))
-	for _, e := range es {
-		out = append(out, e.From, e.To)
-	}
-	return out
-}
-
-func unflattenEdges(fs []int32) []Edge {
-	if len(fs) == 0 {
-		return nil
-	}
-	out := make([]Edge, 0, len(fs)/2)
-	for i := 0; i+1 < len(fs); i += 2 {
-		out = append(out, Edge{From: fs[i], To: fs[i+1]})
-	}
-	return out
-}
-
-func toShardOp(op *keyOp) ShardOp {
-	so := ShardOp{Cons: op.cons, Kind: uint8(op.kind)}
-	if !op.cons {
-		so.Edge = []int32{op.edge.From, op.edge.To}
-		return so
-	}
-	so.First = flattenEdges(op.first)
-	so.Second = flattenEdges(op.second)
-	so.FBad, so.SBad = op.fBad, op.sBad
-	so.Kind2 = uint8(op.kind2)
-	if op.hasID {
-		so.ID = []int32{op.id[0].From, op.id[0].To, op.id[1].From, op.id[1].To}
-	}
-	return so
-}
-
-func fromShardOp(so *ShardOp) keyOp {
-	op := keyOp{cons: so.Cons, kind: EdgeKind(so.Kind)}
-	if !so.Cons {
-		if len(so.Edge) == 2 {
-			op.edge = Edge{From: so.Edge[0], To: so.Edge[1]}
-		}
-		return op
-	}
-	op.first = unflattenEdges(so.First)
-	op.second = unflattenEdges(so.Second)
-	op.fBad, op.sBad = so.FBad, so.SBad
-	op.kind2 = EdgeKind(so.Kind2)
-	if len(so.ID) == 4 {
-		op.id = [2]Edge{{so.ID[0], so.ID[1]}, {so.ID[2], so.ID[3]}}
-		op.hasID = true
-	}
-	return op
-}
-
-// shardSkeleton is the read-only polygraph shell the recording pass
-// needs: classify() and the readers index depend only on the history,
-// the level's node mapping, and the node-count layout — never on the
-// evolving known set.
-func shardSkeleton(h *history.History, opts Options) *Polygraph {
-	pg := &Polygraph{H: h, Level: opts.Level, ser: opts.Level == Serializability}
-	if pg.ser {
-		pg.NumNodes = int32(len(h.Txns))
-	} else {
-		pg.NumNodes = int32(len(h.Txns)) * 2
-	}
-	pg.auxBase = pg.NumNodes
-	return pg
-}
-
-func toWireRecord(key history.Key, out *keyRecord) KeyShardRecord {
-	rec := KeyShardRecord{Key: string(key), WR: flattenEdges(out.wr)}
-	if n := len(out.ops); n > 0 {
-		rec.Ops = make([]ShardOp, n)
-		for j := range out.ops {
-			rec.Ops[j] = toShardOp(&out.ops[j])
-		}
-	}
-	return rec
-}
-
-// BuildShardRecordsOrdered runs the per-key recording pass over keys and
-// hands each key's record to emit in ascending key-index order, calling
-// emit for key i as soon as every key ≤ i has been recorded — while the
-// pool is still recording later keys. This is the streaming seam the
-// cluster worker uses to put early records on the wire before the shard
-// finishes. The records passed to emit are identical to
-// BuildShardRecords' output; emit is called from the calling goroutine
-// only. An emit error aborts the remaining work and is returned.
-func BuildShardRecordsOrdered(h *history.History, opts Options, keys []history.Key, emit func(i int, rec *KeyShardRecord) error) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	pg := shardSkeleton(h, opts)
-	workers := opts.workers()
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	readers := pg.collectReadsSharded(workers)
-	wbk := writersByKey(h)
-
-	outs := make([]keyRecord, len(keys))
-	done := make([]atomic.Bool, len(keys))
-	ready := make(chan struct{}, len(keys))
-	combine, coalesce := !opts.DisableCombineWrites, !opts.DisableCoalesce
-	var abort atomic.Bool
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !abort.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(keys) {
-					return
-				}
-				key := keys[i]
-				byWriter := readers[key]
-				recordReadDeps(pg, byWriter, &outs[i])
-				pg.buildKeyConstraints(key, wbk[key], byWriter, combine, coalesce, keyRecorder{pg: pg, rec: &outs[i]})
-				done[i].Store(true)
-				ready <- struct{}{}
-			}
-		}()
-	}
-
-	var emitErr error
-	next := 0
-	for next < len(keys) && emitErr == nil {
-		if !done[next].Load() {
-			<-ready
-			continue
-		}
-		rec := toWireRecord(keys[next], &outs[next])
-		if err := emit(next, &rec); err != nil {
-			emitErr = err
-			abort.Store(true)
-			break
-		}
-		outs[next] = keyRecord{} // release as we go: the shard may be large
-		next++
-	}
-	wg.Wait()
-	return emitErr
-}
-
-// BuildShardRecords runs the per-key recording pass of the sharded build
-// over the given keys and returns their records in wire form, in the
-// given key order. The history must be validated; keys must be a subset
-// of h.Keys(). Node ids in the records are global: they are derived
-// from transaction ids alone, so records computed by different workers
-// over disjoint key sets compose. opts.Parallelism bounds the local
-// worker pool; the output is identical for any worker count.
-func BuildShardRecords(h *history.History, opts Options, keys []history.Key) []KeyShardRecord {
-	recs := make([]KeyShardRecord, len(keys))
-	// The emit callback never errors, so Ordered cannot either.
-	_ = BuildShardRecordsOrdered(h, opts, keys, func(i int, rec *KeyShardRecord) error {
-		recs[i] = *rec
+// BuildShardRecords is BuildShardRecordsOrdered collected into a slice,
+// in the given key order.
+func BuildShardRecords(h *history.History, opts Options, keys []history.Key) []*KeyRecord {
+	recs := make([]*KeyRecord, len(keys))
+	// The emit callback never errors, so recording cannot either.
+	_ = BuildShardRecordsOrdered(h, opts, keys, func(i int, rec *KeyRecord) error {
+		recs[i] = rec
 		return nil
 	})
 	return recs
@@ -258,75 +74,83 @@ type ShardMerger struct {
 
 	mu       sync.Mutex
 	pg       *Polygraph
-	recs     []KeyShardRecord
-	have     []bool
+	recs     []*KeyRecord // nil: not yet added
 	frontier int
 	replay   time.Duration
 	finished bool
 }
 
-// NewShardMerger prepares the global polygraph skeleton (node layout,
-// intra-transaction edges) and an empty record table over h.Keys().
+// NewShardMerger prepares the global polygraph skeleton and an empty
+// record table over h.Keys().
 func NewShardMerger(h *history.History, opts Options) *ShardMerger {
-	pg := &Polygraph{
-		H:        h,
-		Level:    opts.Level,
-		ser:      opts.Level == Serializability,
-		knownSet: make(map[Edge]bool),
-	}
-	if pg.ser {
-		pg.NumNodes = int32(len(h.Txns))
-	} else {
-		pg.NumNodes = int32(len(h.Txns)) * 2
-	}
-	pg.auxBase = pg.NumNodes
-	pg.initNodeTS()
-	if !pg.ser {
-		for _, t := range h.Txns {
-			if t.Committed() {
-				pg.addKnown(Edge{pg.Begin(t.ID), pg.Commit(t.ID)}, EdgeIntra, "")
-			}
-		}
-	}
 	return &ShardMerger{
 		h:    h,
 		opts: opts,
-		pg:   pg,
-		recs: make([]KeyShardRecord, len(h.Keys())),
-		have: make([]bool, len(h.Keys())),
+		pg:   newPolygraph(h, opts.Level),
+		recs: make([]*KeyRecord, len(h.Keys())),
 	}
 }
 
 // Add accepts the record for key index i of h.Keys() and advances the
 // read-dependency replay frontier over any newly contiguous prefix.
-// Records already held are ignored (see the type comment).
-func (m *ShardMerger) Add(i int, rec KeyShardRecord) error {
+// Records already held are ignored (see the type comment). Records
+// arrive from the network, so Add refuses one filed under the wrong key
+// or naming a node outside the history's polygraph.
+func (m *ShardMerger) Add(i int, rec *KeyRecord) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	keys := m.h.Keys()
 	if i < 0 || i >= len(keys) {
 		return fmt.Errorf("shard merge: record index %d out of range (history has %d keys)", i, len(keys))
 	}
-	if rec.Key != string(keys[i]) {
+	if rec.Key != keys[i] {
 		return fmt.Errorf("shard merge: record %d is key %q, want %q (records must cover h.Keys() in order)", i, rec.Key, keys[i])
 	}
 	if m.finished {
 		return fmt.Errorf("shard merge: Add after Finish")
 	}
-	if m.have[i] {
+	if m.recs[i] != nil {
 		return nil
+	}
+	if err := m.checkNodes(rec); err != nil {
+		return fmt.Errorf("shard merge: record for key %q: %v", rec.Key, err)
 	}
 	start := time.Now()
 	m.recs[i] = rec
-	m.have[i] = true
-	for m.frontier < len(keys) && m.have[m.frontier] {
-		key := keys[m.frontier]
-		for _, e := range unflattenEdges(m.recs[m.frontier].WR) {
-			m.pg.addKnown(e, EdgeWR, key)
-		}
+	for m.frontier < len(keys) && m.recs[m.frontier] != nil {
+		m.pg.replayWR(m.recs[m.frontier])
 		m.frontier++
 	}
 	m.replay += time.Since(start)
+	return nil
+}
+
+// checkNodes verifies every node id in rec lies in [0, NumNodes).
+func (m *ShardMerger) checkNodes(rec *KeyRecord) error {
+	n := m.pg.NumNodes
+	check := func(es ...Edge) error {
+		for _, e := range es {
+			if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+				return fmt.Errorf("edge %d→%d outside the polygraph's %d nodes", e.From, e.To, n)
+			}
+		}
+		return nil
+	}
+	if err := check(rec.WR...); err != nil {
+		return err
+	}
+	for j := range rec.Ops {
+		op := &rec.Ops[j]
+		var err error
+		if !op.Cons {
+			err = check(op.Edge)
+		} else if err = check(op.First...); err == nil {
+			err = check(op.Second...)
+		}
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -334,13 +158,13 @@ func (m *ShardMerger) Add(i int, rec KeyShardRecord) error {
 func (m *ShardMerger) Missing() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.have) - m.frontier
+	return len(m.recs) - m.frontier
 }
 
 // Records returns the held records for key indices [lo, hi). Only valid
 // once every key in the range has been added; the caller must not
 // mutate the result.
-func (m *ShardMerger) Records(lo, hi int) []KeyShardRecord {
+func (m *ShardMerger) Records(lo, hi int) []*KeyRecord {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.recs[lo:hi]
@@ -365,26 +189,12 @@ func (m *ShardMerger) Finish() (*Polygraph, error) {
 	}
 	keys := m.h.Keys()
 	if m.frontier != len(keys) {
-		for i := range m.have {
-			if !m.have[i] {
-				return nil, fmt.Errorf("shard merge: no record for key %q (index %d)", keys[i], i)
-			}
-		}
+		return nil, fmt.Errorf("shard merge: no record for key %q (index %d)", keys[m.frontier], m.frontier)
 	}
 	m.finished = true
 	start := time.Now()
-	for i, key := range keys {
-		for j := range m.recs[i].Ops {
-			op := fromShardOp(&m.recs[i].Ops[j])
-			m.pg.applyOp(&op, key)
-		}
-	}
-	if m.opts.Level == StrongSessionSI {
-		m.pg.addSessionEdges()
-	}
-	if m.opts.Level.needsRealTime() {
-		m.pg.addRealTimeEdges(m.opts)
-	}
+	m.pg.replayOps(len(keys), func(i int) *KeyRecord { return m.recs[i] })
+	m.pg.addVariantEdges(m.opts)
 	m.replay += time.Since(start)
 	m.pg.buildWall = m.replay
 	m.pg.buildCPU = m.replay
@@ -392,46 +202,20 @@ func (m *ShardMerger) Finish() (*Polygraph, error) {
 	return m.pg, nil
 }
 
-// BuildPolygraphFromShards replays shard records into a polygraph. recs
-// must cover h.Keys() exactly — every key once, in ascending order
-// (shards covering contiguous key ranges, concatenated in range order,
-// satisfy this). The replay mirrors buildSharded: all read-dependency
-// edges in key order, then every key's constraint-pass emissions in key
-// order, with the knownSet-dependent steps (duplicate suppression,
-// dropping already-certain constraint sides) performed here against the
-// evolving known set. The result is byte-identical to Build(h, opts).
-func BuildPolygraphFromShards(h *history.History, opts Options, recs []KeyShardRecord) (*Polygraph, error) {
-	keys := h.Keys()
-	if len(recs) != len(keys) {
-		return nil, fmt.Errorf("shard merge: %d records for %d keys", len(recs), len(keys))
-	}
-	m := NewShardMerger(h, opts)
-	for i := range recs {
-		if err := m.Add(i, recs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return m.Finish()
-}
-
 // CheckMergedContext finishes an incremental merge and checks the
 // result: the same polynomial-level dispatch and G1b screen as
-// CheckShardedContext, with replay time attributed to the construct
+// CheckHistoryContext, with replay time attributed to the construct
 // phase. The merger must hold a record for every key of its history.
 func CheckMergedContext(ctx context.Context, m *ShardMerger) (*Report, error) {
 	if m.opts.Level.Polynomial() {
 		return checkPolynomial(m.h, m.opts), nil
 	}
 	if ev := findG1b(m.h, 1); ev != nil {
-		n := len(m.h.Txns)
-		if m.opts.Level != Serializability {
-			n *= 2
-		}
 		return &Report{
 			Level:   m.opts.Level,
 			Outcome: Reject,
 			Anomaly: ev.String(),
-			Nodes:   n,
+			Nodes:   int(m.pg.NumNodes),
 		}, nil
 	}
 	pg, err := m.Finish()
@@ -443,27 +227,4 @@ func CheckMergedContext(ctx context.Context, m *ShardMerger) (*Report, error) {
 	rep.Phases.Construct += replay
 	rep.Phases.ConstructCPU += replay
 	return rep, nil
-}
-
-// CheckShardedContext is CheckHistoryContext with construction replaced
-// by a shard-record merge: the same polynomial-level dispatch, the same
-// G1b screen, then a record replay + CheckPolygraphContext. Given
-// records covering h.Keys(), the verdict (and violation evidence:
-// anomaly string, known cycle, constraint set) is identical to
-// single-node CheckHistoryContext.
-func CheckShardedContext(ctx context.Context, h *history.History, opts Options, recs []KeyShardRecord) (*Report, error) {
-	if opts.Level.Polynomial() {
-		return checkPolynomial(h, opts), nil
-	}
-	keys := h.Keys()
-	if len(recs) != len(keys) {
-		return nil, fmt.Errorf("shard merge: %d records for %d keys", len(recs), len(keys))
-	}
-	m := NewShardMerger(h, opts)
-	for i := range recs {
-		if err := m.Add(i, recs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return CheckMergedContext(ctx, m)
 }

@@ -27,15 +27,37 @@ func splitKeys(keys []history.Key, n int) [][]history.Key {
 	return out
 }
 
-// mergeViaShards records each key chunk independently (as cluster
-// workers would) and replays the concatenated records.
-func mergeViaShards(t *testing.T, h *history.History, opts Options, shards int) *Polygraph {
-	t.Helper()
-	var recs []KeyShardRecord
+// shardRecords records each key chunk independently, as cluster workers
+// would, and concatenates the records.
+func shardRecords(h *history.History, opts Options, shards int) []*KeyRecord {
+	var recs []*KeyRecord
 	for _, chunk := range splitKeys(h.Keys(), shards) {
 		recs = append(recs, BuildShardRecords(h, opts, chunk)...)
 	}
-	pg, err := BuildPolygraphFromShards(h, opts, recs)
+	return recs
+}
+
+// mergeRecords files recs[i] under key index i of a fresh ShardMerger;
+// recs must cover h.Keys() exactly, in order.
+func mergeRecords(h *history.History, opts Options, recs []*KeyRecord) (*ShardMerger, error) {
+	m := NewShardMerger(h, opts)
+	for i, rec := range recs {
+		if err := m.Add(i, rec); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// mergeViaShards records each key chunk independently and replays the
+// concatenated records through a ShardMerger.
+func mergeViaShards(t *testing.T, h *history.History, opts Options, shards int) *Polygraph {
+	t.Helper()
+	m, err := mergeRecords(h, opts, shardRecords(h, opts, shards))
+	if err != nil {
+		t.Fatalf("merge (%d shards): %v", shards, err)
+	}
+	pg, err := m.Finish()
 	if err != nil {
 		t.Fatalf("merge (%d shards): %v", shards, err)
 	}
@@ -80,7 +102,7 @@ func TestShardRecordsMergeIdenticalToBuild(t *testing.T) {
 
 // TestShardRecordsOnGeneratedWorkload runs the record/merge differential
 // on a constraint-heavy generated workload and checks the end-to-end
-// verdict through CheckShardedContext.
+// verdict through CheckMergedContext.
 func TestShardRecordsOnGeneratedWorkload(t *testing.T) {
 	h, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 16, Txns: 300, Seed: 11})
 	if err != nil {
@@ -93,11 +115,11 @@ func TestShardRecordsOnGeneratedWorkload(t *testing.T) {
 			comparePolygraphs(t, serial, mergeViaShards(t, h, opts, shards), "blindw-rw/"+level.String())
 		}
 		want := CheckHistory(h, opts)
-		var recs []KeyShardRecord
-		for _, chunk := range splitKeys(h.Keys(), 3) {
-			recs = append(recs, BuildShardRecords(h, opts, chunk)...)
+		m, err := mergeRecords(h, opts, shardRecords(h, opts, 3))
+		if err != nil {
+			t.Fatal(err)
 		}
-		rep, err := CheckShardedContext(context.Background(), h, opts, recs)
+		rep, err := CheckMergedContext(context.Background(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +144,14 @@ func TestBuildPolygraphFromShardsCoverage(t *testing.T) {
 	if len(recs) < 2 {
 		t.Fatalf("want >= 2 keys in write-skew, got %d", len(recs))
 	}
-	if _, err := BuildPolygraphFromShards(h, opts, recs[1:]); err == nil {
-		t.Fatal("missing key accepted")
+	if m, err := mergeRecords(h, opts, recs[:len(recs)-1]); err == nil {
+		if _, err := m.Finish(); err == nil {
+			t.Fatal("missing key accepted")
+		}
 	}
-	swapped := append([]KeyShardRecord(nil), recs...)
+	swapped := append([]*KeyRecord(nil), recs...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
-	if _, err := BuildPolygraphFromShards(h, opts, swapped); err == nil {
+	if _, err := mergeRecords(h, opts, swapped); err == nil {
 		t.Fatal("out-of-order records accepted")
 	}
 }
@@ -208,7 +232,7 @@ func TestBuildShardRecordsOrderedStreams(t *testing.T) {
 		p := opts
 		p.Parallelism = par
 		next := 0
-		err := BuildShardRecordsOrdered(h, p, h.Keys(), func(i int, rec *KeyShardRecord) error {
+		err := BuildShardRecordsOrdered(h, p, h.Keys(), func(i int, rec *KeyRecord) error {
 			if i != next {
 				t.Fatalf("par=%d: emitted record %d, want %d", par, i, next)
 			}
