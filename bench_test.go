@@ -509,9 +509,10 @@ func BenchmarkAblationPhaseBias(b *testing.B) {
 // BenchmarkIncrementalAudit measures online re-auditing of a growing
 // BlindW-RW stream: 5k transactions arriving in 10 batches of 500, with an
 // audit after every batch. "incremental" drives one Checker session whose
-// construction and solver state persist across the 10 audits; "batch"
-// re-runs a from-scratch CheckHistory on each prefix (what a caller
-// without the session API would do). The quantity of interest is the
+// construction records persist across the 10 audits (each audit replays
+// them and runs the batch check); "batch" re-runs a from-scratch
+// CheckHistory on each prefix (what a caller without the session API
+// would do). The quantity of interest is the
 // amortized cost of all 10 audits; EXPERIMENTS.md records the numbers.
 func BenchmarkIncrementalAudit(b *testing.B) {
 	const batches = 10
@@ -600,10 +601,9 @@ func BenchmarkCheckMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkAuditMatrixWarm measures the warm incremental matrix session:
-// a BlindW-RW stream arriving in 10 batches with a full matrix audit
-// after each, one Checker keeping its construction and solver state
-// across audits.
+// BenchmarkAuditMatrixWarm measures the incremental matrix session: a
+// BlindW-RW stream arriving in 10 batches with a full matrix audit after
+// each, one Checker keeping its construction records across audits.
 func BenchmarkAuditMatrixWarm(b *testing.B) {
 	const batches = 10
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 2000, 24)

@@ -10,14 +10,12 @@ import (
 
 // Checker is a long-lived checking session for online auditing: append
 // transactions as they are observed, then Audit the accumulated history as
-// often as needed. Each audit reuses the polygraph-construction state — and,
-// for AdyaSI/Serializability with default solver options, the SAT solver's
-// learned clauses, activities, and topological order — of the previous
-// audits, so re-auditing a growing history costs roughly the work of the
-// delta instead of a from-scratch recheck (see DESIGN.md, "Incremental
-// checking").
+// often as needed. Each audit reuses the per-key construction records of
+// the previous audits — only keys the appended delta touched are rebuilt —
+// and then runs the batch check on the replayed polygraph (see DESIGN.md,
+// "Online incremental checking").
 //
-// Verdicts are always equivalent to Check on a snapshot of the same
+// Every audit's report equals Check's on a snapshot of the same
 // transactions. A Checker is not safe for concurrent use. Once an audit
 // rejects at the graph level, the verdict is permanent (the checked levels
 // are prefix-closed) and later audits return it immediately; a rejection at
@@ -28,7 +26,7 @@ type Checker struct {
 	inc    *core.Incremental
 	policy CheckpointPolicy
 	// matrix is the lazily-created verdict-matrix session backing
-	// AuditMatrix; its warm sub-sessions are independent of inc.
+	// AuditMatrix; its sub-sessions are independent of inc.
 	matrix *core.Matrix
 }
 
@@ -132,17 +130,17 @@ func (c *Checker) History() *History {
 func (c *Checker) Progress() ProgressSnapshot { return c.inc.Progress() }
 
 // Audit checks everything appended so far and returns the verdict, exactly
-// as Check would on the same transactions. The first audit does the full
-// batch work; later audits extend the previous state by the appended delta.
+// as Check would on the same transactions. Later audits rebuild only the
+// construction records of keys the appended delta touched.
 func (c *Checker) Audit() *Result { return c.AuditContext(context.Background()) }
 
 // AuditContext is Audit under a cancellation context: ctx's deadline
 // bounds the audit like Options.Timeout (whichever expires first), and
 // canceling ctx interrupts a running solve, returning Outcome Timeout
 // promptly. A canceled audit leaves the session consistent — later audits
-// simply retry the solve over the same accumulated state. This is how a
-// serving layer (viperd) maps request deadlines and client disconnects
-// onto long-running audits without leaking solver work.
+// simply run the check again over the same accumulated records. This is
+// how a serving layer (viperd) maps request deadlines and client
+// disconnects onto long-running audits without leaking solver work.
 func (c *Checker) AuditContext(ctx context.Context) *Result {
 	start := time.Now()
 	if err := c.inc.History().Validate(); err != nil {
@@ -166,13 +164,14 @@ func (c *Checker) AuditContext(ctx context.Context) *Result {
 }
 
 // AuditMatrix checks everything appended so far against every level of
-// the verdict matrix (see CheckMatrix), reusing the matrix session's warm
-// state across calls: the AdyaSI and Serializability sub-sessions keep
-// their solvers, the GSI sub-session its construction records, and the
-// polynomial levels are derived outright whenever monotonicity decides
-// them — so repeated matrix audits of a growing history cost roughly the
-// delta, not six fresh checks. Per-level verdicts always equal CheckMatrix
-// (and independent Check calls) on a snapshot of the same transactions.
+// the verdict matrix (see CheckMatrix), reusing the matrix session's state
+// across calls: the AdyaSI, Serializability and GSI sub-sessions keep their
+// construction records, and the polynomial levels are derived outright
+// whenever monotonicity decides them — so repeated matrix audits of a
+// growing history rebuild only the keys the delta touched and run at most
+// three graph checks, not six fresh checks. Per-level verdicts always
+// equal CheckMatrix (and independent Check calls) on a snapshot of the
+// same transactions.
 //
 // AuditMatrix is independent of Audit: it neither consumes nor produces
 // the single-level session's state, and it never triggers the checkpoint

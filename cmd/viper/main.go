@@ -468,18 +468,7 @@ func drainComplete(dec *histio.Decoder, c *viper.Checker) error {
 // and follow paths).
 func printCounterexample(stdout io.Writer, h *history.History, rep *core.Report, opts core.Options) {
 	if rep.KnownCycle != nil {
-		// Polynomial levels' cycle nodes are transaction ids of the forced
-		// commit order; the solver levels' are polygraph event nodes.
-		name := func(n int32) string {
-			if f := h.Fence(); f != nil {
-				return fmt.Sprintf("T%d", f.ExternalID(history.TxnID(n)))
-			}
-			return fmt.Sprintf("T%d", n)
-		}
-		if !opts.Level.Polynomial() {
-			pg := core.Build(h, opts)
-			name = pg.NodeName
-		}
+		name := func(n int32) string { return core.NodeName(h, opts.Level, n) }
 		fmt.Fprintln(stdout, "counterexample cycle in the known dependency graph:")
 		for _, ke := range rep.KnownCycle {
 			label := ke.Kind.String()

@@ -245,11 +245,8 @@ func TestEdgeTheorySharedEdgeVar(t *testing.T) {
 	if th.NumEdgeVars() != 1 {
 		t.Fatalf("NumEdgeVars = %d", th.NumEdgeVars())
 	}
-	if _, ok := th.Lookup(0, 1); !ok {
-		t.Fatal("Lookup failed")
-	}
-	if _, ok := th.Lookup(1, 0); ok {
-		t.Fatal("Lookup found unregistered edge")
+	if c := th.EdgeVar(s, 1, 0); c == a || th.NumEdgeVars() != 2 {
+		t.Fatalf("reverse edge shares a variable (var %d, NumEdgeVars = %d)", c, th.NumEdgeVars())
 	}
 }
 

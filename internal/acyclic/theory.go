@@ -44,32 +44,16 @@ func (t *EdgeTheory) edgeForVar(v sat.Var) (Edge, bool) {
 // edges. It returns false if the constants alone already contain a cycle
 // (the instance is trivially unsatisfiable).
 func (t *EdgeTheory) InsertConstant(u, v int32) bool {
-	_, ok := t.InsertConstantPath(u, v)
-	return ok
-}
-
-// InsertConstantPath is InsertConstant, but on failure it also returns the
-// node path v..u of the constant cycle the insertion would close (the
-// session checker turns it into counterexample evidence). On success or
-// duplicate insertion it returns (nil, true).
-func (t *EdgeTheory) InsertConstantPath(u, v int32) ([]int32, bool) {
 	e := Edge{u, v}
 	if t.constSet[e] {
-		return nil, true
+		return true
 	}
-	if path := t.g.AddEdge(u, v); path != nil {
-		return path, false
+	if t.g.AddEdge(u, v) != nil {
+		return false
 	}
 	t.constSet[e] = true
-	return nil, true
+	return true
 }
-
-// Grow extends the theory graph to at least n nodes, for incremental use
-// between Solve rounds: new nodes take the largest order indices, which is
-// the right warm start for append-mostly histories (new transactions tend
-// to come after everything already ordered). Existing edges, constants,
-// and variables are untouched.
-func (t *EdgeTheory) Grow(n int) { t.g.Grow(n) }
 
 // SeedOrder warm-starts the maintained topological order (see
 // Graph.SetOrder); call before solving.
@@ -92,17 +76,8 @@ func (t *EdgeTheory) EdgeVar(s *sat.Solver, u, v int32) sat.Var {
 	return w
 }
 
-// Lookup returns the variable for edge u→v if one was allocated.
-func (t *EdgeTheory) Lookup(u, v int32) (sat.Var, bool) {
-	w, ok := t.varOf[Edge{u, v}]
-	return w, ok
-}
-
 // NumEdgeVars returns the number of distinct symbolic edges.
 func (t *EdgeTheory) NumEdgeVars() int { return len(t.varOf) }
-
-// NumConstants returns the number of distinct constant edges inserted.
-func (t *EdgeTheory) NumConstants() int { return len(t.constSet) }
 
 // Reorders reports the underlying graph's order-maintenance work (see
 // Graph.Reorders).

@@ -493,9 +493,6 @@ func (d *digestEncoder) record(rec *core.KeyRecord) error {
 		if op.SBad {
 			flags |= 4
 		}
-		if op.HasID {
-			flags |= 8
-		}
 		e.byte1(flags)
 		e.byte1(byte(op.Kind))
 		if !op.Cons {
@@ -505,12 +502,6 @@ func (d *digestEncoder) record(rec *core.KeyRecord) error {
 		e.byte1(byte(op.Kind2))
 		edges(op.First...)
 		edges(op.Second...)
-		if op.HasID {
-			for _, ed := range op.ID {
-				delta(ed.From)
-				delta(ed.To)
-			}
-		}
 	}
 	d.n++
 	return e.err
@@ -609,6 +600,9 @@ func (d *wireDec) readRecord(key history.Key) *core.KeyRecord {
 	rec.Ops = make([]core.KeyOp, 0, min(nops, 1<<16))
 	for i := 0; i < nops && d.err == nil; i++ {
 		flags := d.byte1()
+		if d.err == nil && flags&^7 != 0 {
+			d.fail("wire: digest op has unknown flags 0x%02x", flags)
+		}
 		op := core.KeyOp{
 			Cons: flags&1 != 0,
 			FBad: flags&2 != 0,
@@ -624,9 +618,6 @@ func (d *wireDec) readRecord(key history.Key) *core.KeyRecord {
 			op.Kind2 = core.EdgeKind(d.byte1())
 			op.First = edges("first side")
 			op.Second = edges("second side")
-			if flags&8 != 0 {
-				op.ID, op.HasID = [2]core.Edge{edge(), edge()}, true
-			}
 		}
 		rec.Ops = append(rec.Ops, op)
 	}

@@ -174,12 +174,22 @@ func hostileDigests(tb testing.TB, recs []*core.KeyRecord) map[string]struct {
 			e.svarint(-3)
 			e.svarint(3)
 		}), "odd node-id count"},
+		"unknown-op-flag": {raw(func(e *wireEnc) {
+			e.uvarint(0)
+			e.uvarint(1)
+			e.byte1(8) // a flag bit no encoder sets
+			e.byte1(byte(core.EdgeWW))
+			e.uvarint(2)
+			e.svarint(2)
+			e.svarint(1)
+		}), "unknown flags 0x08"},
 	}
 }
 
 // TestHostileDigestRejected: a digest naming a node outside the
-// polygraph, or carrying edge runs that are not [from, to] pairs, is an
-// error before it reaches the solver, so the dispatch retries or falls
+// polygraph, carrying edge runs that are not [from, to] pairs, or setting
+// an op flag the format does not define, is an error before it reaches
+// the solver, so the dispatch retries or falls
 // back instead of the solver indexing past its nodes or replaying a
 // dropped or 0→0 edge.
 func TestHostileDigestRejected(t *testing.T) {

@@ -50,6 +50,12 @@ type Collector struct {
 
 	clock   atomic.Int64 // shared logical nanosecond clock
 	nextWID atomic.Int64
+	// stampMu makes taking a snapshot or installing a commit atomic with
+	// reading the clock for its timestamp. Without it a transaction could
+	// snapshot another's freshly installed commit yet stamp its begin
+	// before that commit's stamp, a real-time contradiction the checker
+	// rightly rejects at Strong (Session) SI.
+	stampMu sync.Mutex
 
 	mu   sync.Mutex
 	h    *history.History
@@ -115,10 +121,13 @@ func (s *Session) Begin() *Txn {
 	if s.cur != nil && !s.cur.done {
 		panic("collector: session has an unfinished transaction")
 	}
+	s.c.stampMu.Lock()
+	db, begin := s.c.db.Begin(), s.c.now()
+	s.c.stampMu.Unlock()
 	t := &Txn{
 		s:   s,
-		db:  s.c.db.Begin(),
-		rec: &history.Txn{Session: s.id, SeqInSession: s.seq, BeginAt: s.c.now() + s.drift},
+		db:  db,
+		rec: &history.Txn{Session: s.id, SeqInSession: s.seq, BeginAt: begin + s.drift},
 	}
 	s.seq++
 	s.cur = t
@@ -267,8 +276,10 @@ func (t *Txn) Commit() error {
 		return mvcc.ErrDone
 	}
 	t.done = true
+	t.s.c.stampMu.Lock()
 	err := t.db.Commit()
 	t.rec.CommitAt = t.s.c.now() + t.s.drift
+	t.s.c.stampMu.Unlock()
 	if err != nil {
 		t.rec.Status = history.StatusAborted
 	} else {

@@ -108,9 +108,7 @@ type Report struct {
 	// pass discharged without the solver (one side dead against the known
 	// graph's transitive closure, or one side already implied by it);
 	// ForcedEdges counts the known edges that forcing appended. Zero when
-	// Options.DisableResolve is set or the pass declined to run. On a warm
-	// incremental session both are cumulative across audits, like
-	// Constraints.
+	// Options.DisableResolve is set or the pass declined to run.
 	ResolvedConstraints int
 	ForcedEdges         int
 
@@ -118,10 +116,9 @@ type Report struct {
 	// (tsorder.go) classified: decided constraints were settled by the
 	// strict drift relation before any encoding, residual ones went to
 	// resolution and the solver. Both zero when Options.DisableTSFastPath
-	// is set or the timestamps were unusable; on a warm incremental
-	// session both are cumulative across audits, like ResolvedConstraints.
-	// TSUnusable, when non-empty, explains why the history's timestamps
-	// could not drive the fast path (absent/zero or inverted stamps).
+	// is set or the timestamps were unusable. TSUnusable, when non-empty,
+	// explains why the history's timestamps could not drive the fast path
+	// (absent/zero or inverted stamps).
 	TSDecided  int
 	TSResidual int
 	TSUnusable string
@@ -138,8 +135,7 @@ type Report struct {
 
 	// Reorders/ReorderedNodes count the Pearce–Kelly order repairs the
 	// acyclicity theory performed and the nodes they moved (the winning
-	// solver's, under a portfolio; cumulative across audits on a warm
-	// incremental session, like Solver).
+	// solver's, under a portfolio).
 	Reorders       int64
 	ReorderedNodes int64
 
@@ -166,9 +162,10 @@ type Report struct {
 	// Session memory gauges, stamped by Incremental at the end of every
 	// audit (zero on reports that never passed through a session). These
 	// are what checkpointing bounds: LiveTxns and HistoryBytes cover the
-	// live window, ClosureBytes the resolution closure's materialized
-	// rows. Checkpoints/FencedTxns/CertBytes/TxnIDBase describe the
-	// checkpoint certificate carried in place of the compacted prefix.
+	// live window. ClosureBytes is always zero: every audit builds its
+	// resolution closure afresh and drops it, so none outlives the audit.
+	// Checkpoints/FencedTxns/CertBytes/TxnIDBase describe the checkpoint
+	// certificate carried in place of the compacted prefix.
 	LiveTxns     int
 	HistoryBytes int64
 	ClosureBytes int64
@@ -233,10 +230,8 @@ func CheckHistoryContext(ctx context.Context, h *history.History, opts Options) 
 	if opts.Level.Polynomial() {
 		return checkPolynomial(h, opts)
 	}
-	// One-shot checking is a single-audit incremental session: the first
-	// audit always assembles the full polygraph and runs the batch solve,
-	// so the verdict, report, and witness are those of the historical
-	// monolithic pipeline.
+	// One-shot checking is a single-audit incremental session: every audit
+	// assembles the full polygraph and runs the batch check on it.
 	inc := NewIncremental(opts)
 	inc.h = h
 	return inc.AuditContext(ctx)
@@ -290,6 +285,12 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 		Nodes:       int(pg.NumNodes),
 		KnownEdges:  len(pg.Known),
 		Constraints: len(pg.Cons),
+	}
+	// A context that is already done stops the check before any stage —
+	// including the constraint-free fast path, which would otherwise accept.
+	if ctx.Err() != nil {
+		rep.Outcome = Timeout
+		return rep
 	}
 	deadline := solveDeadline(ctx, opts)
 

@@ -142,8 +142,7 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 
 	// Swap the history in and drop every derived structure: indexes and
 	// records are rebuilt over the small window by the next audit's update
-	// and regen passes, the warm solver re-encodes from those records, and
-	// the timestamp order refolds from the live transactions.
+	// and regen passes.
 	inc.h = nh
 	inc.indexed = 1
 	inc.g1bHigh = 1
@@ -153,14 +152,6 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 	inc.ranges = nil
 	inc.dirty = make(map[history.Key]bool)
 	inc.records = make(map[history.Key]*KeyRecord)
-	inc.chainSigs = make(map[history.Key][][]history.TxnID)
-	inc.pendingWarm = make(map[history.Key]bool)
-	inc.partitionChanged = false
-	inc.warm = nil
-	inc.tsReason = ""
-	inc.tsOrder = nil
-	inc.tsHigh = 0
-	inc.tsDirty = false
 	inc.liveOps = liveOps
 	inc.lastAccept = nil
 	return F - 1, nil

@@ -10,15 +10,30 @@ import (
 	"viper/internal/obs"
 )
 
-// TestCheckContextPreCanceled pins the fast path: a context canceled
-// before checking starts yields Timeout without touching the solver.
+// TestCheckContextPreCanceled pins the entry check: a context canceled
+// before checking starts yields Timeout before any stage runs — also on a
+// constraint-free history, whose fast path would otherwise accept.
 func TestCheckContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	h := histgen.SI(histgen.Spec{Txns: 50, Seed: 1})
-	rep := CheckHistoryContext(ctx, h, Options{Level: AdyaSI})
-	if rep.Outcome != Timeout {
-		t.Fatalf("outcome = %v, want Timeout", rep.Outcome)
+
+	// Two sessions blind-writing different keys: no constraints at all.
+	b := history.NewBuilder()
+	b.Session().Txn().Write("x").Commit()
+	b.Session().Txn().Write("y").Commit()
+	free := b.MustHistory()
+	if pg := Build(free, Options{Level: AdyaSI}); len(pg.Cons) != 0 {
+		t.Fatalf("constraint-free history has %d constraints", len(pg.Cons))
+	}
+
+	for name, h := range map[string]*history.History{
+		"generated":       histgen.SI(histgen.Spec{Txns: 50, Seed: 1}),
+		"constraint-free": free,
+	} {
+		rep := CheckHistoryContext(ctx, h, Options{Level: AdyaSI})
+		if rep.Outcome != Timeout {
+			t.Fatalf("%s: outcome = %v, want Timeout", name, rep.Outcome)
+		}
 	}
 }
 
@@ -67,9 +82,8 @@ func TestCheckContextCancelMidSolve(t *testing.T) {
 
 // TestAuditContextCanceledThenRetry asserts a canceled audit leaves the
 // incremental session consistent: a later audit with a live context
-// returns the real verdict. This covers the warm-solver path's
-// ClearInterrupt — without it, the first cancellation would permanently
-// poison the persistent solver.
+// returns the real verdict. Every audit builds fresh solvers, so an
+// interrupt delivered to a canceled audit cannot leak into the next one.
 func TestAuditContextCanceledThenRetry(t *testing.T) {
 	h := histgen.SI(histgen.Spec{Txns: 120, Seed: 3})
 	inc := NewIncremental(Options{Level: AdyaSI})
@@ -78,9 +92,9 @@ func TestAuditContextCanceledThenRetry(t *testing.T) {
 		inc.Append(&t2)
 	}
 
-	// First audit (cold) succeeds, arming the warm path.
+	// First audit succeeds.
 	if rep := inc.Audit(); rep.Outcome != Accept {
-		t.Fatalf("cold audit: %v", rep.Outcome)
+		t.Fatalf("first audit: %v", rep.Outcome)
 	}
 
 	// Grow the history with blind writes on fresh keys and sessions (no
@@ -100,7 +114,7 @@ func TestAuditContextCanceledThenRetry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if rep := inc.AuditContext(ctx); rep.Outcome != Timeout {
-		t.Fatalf("canceled warm audit: %v", rep.Outcome)
+		t.Fatalf("canceled audit: %v", rep.Outcome)
 	}
 
 	// Retry with a live context: the session must still produce the true

@@ -141,8 +141,7 @@ func TestCheckDeterminismSolverWorks(t *testing.T) {
 
 // TestIncrementalDeterminism runs two identically-configured incremental
 // sessions through the same batched appends and requires every audit to
-// report identical counters and identical cumulative span structure —
-// warm-path solver reuse included.
+// report identical counters and identical cumulative span structure.
 func TestIncrementalDeterminism(t *testing.T) {
 	build := func() *Incremental {
 		opts := detOpts(AdyaSI)

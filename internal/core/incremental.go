@@ -1,47 +1,16 @@
 // Online incremental checking: a long-lived session that extends its
-// BC-polygraph construction state — and, when sound, its solver state —
-// as transactions arrive, instead of recomputing everything from genesis
-// at every audit.
+// BC-polygraph construction state as transactions arrive, instead of
+// rebuilding the polygraph from genesis at every audit.
 //
-// The construction side is always incremental: the readers index, the
-// per-key writer lists, and the per-key emission records (known edges and
-// constraints, in the serial build's order) persist across audits. An
-// appended batch only dirties the keys it writes or reads; clean keys keep
-// their records verbatim, so the O(chains²)-per-key constraint pass — the
-// dominant construction cost — reruns only where the history actually
-// changed. Each audit then either assembles the records into a Polygraph
-// and runs the ordinary batch solve (the cold path, used for levels with
-// real-time edges, for ablation options, and for the first audit so the
-// one-shot wrappers stay byte-compatible with the historical batch
-// pipeline), or feeds the deltas to a persistent solver (the warm path).
-//
-// The warm path keeps one SAT solver and one acyclicity theory alive for
-// the whole session: learned clauses, VSIDS activities, saved phases, and
-// the Pearce–Kelly topological order all carry over, and an audit adds
-// only the new constants, edge variables, and clauses. This is sound
-// exactly when the audit-to-audit delta is monotone clause addition:
-//
-//   - Known edges only ever accrue, and theory constants are monotone:
-//     more edges can only shrink the model set.
-//   - A constraint's sides only grow (new readers of a chain tail add
-//     implications on the side's existing selector); the selector encoding
-//     (sel → first side, ¬sel → second side) is equisatisfiable with the
-//     batch encoding and extends additively, whereas the batch path's 1-1
-//     XOR does not.
-//   - Learned clauses are logical consequences of the formula they were
-//     learned from, and the formula only gains clauses, so they remain
-//     valid in every later round.
-//
-// The monotonicity breaks when a key's writer-chain partition changes
-// (e.g. a new read-modify-write merges two chains, or combining falls back
-// to singletons): previously encoded pair constraints then reference stale
-// chain boundaries. The session detects this by comparing each dirtied
-// key's chain partition against the one it last recorded and rebuilds the
-// solver from the (still incremental) record store when any prior chain is
-// not preserved verbatim. Warm solves are always exact — no heuristic
-// pruning — because pruning's assumption edges would enter the theory as
-// irrevocable constants; the schedule-consistent phase bias keeps healthy
-// histories near-linear regardless.
+// The readers index, the per-key writer lists, and the per-key emission
+// records (known edges and constraints, in the serial build's order)
+// persist across audits. An appended batch only dirties the keys it writes
+// or reads; clean keys keep their records verbatim, so the
+// O(chains²)-per-key constraint pass — the dominant construction cost —
+// reruns only where the history actually changed. Each audit then replays
+// the records into a Polygraph (byte-identical to Build on the same
+// history) and runs the one batch check, CheckPolygraphContext, on it: a
+// session report equals CheckHistory's report on the same live history.
 //
 // Rejection is cached: SI (and the other checked levels) are closed under
 // history prefixes, so once a validated prefix is rejected every extension
@@ -57,10 +26,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"viper/internal/acyclic"
 	"viper/internal/history"
 	"viper/internal/obs"
-	"viper/internal/sat"
 )
 
 // rangeObs remembers a committed range query so that keys first written
@@ -73,97 +40,14 @@ type rangeObs struct {
 	returned map[history.Key]bool
 }
 
-// sideEdge is one edge of a constraint side; lit caches the solver
-// literal once the edge variable exists (sat.LitUndef until then — pruned
-// constraints don't allocate variables they never need).
-type sideEdge struct {
-	e   Edge
-	lit sat.Lit
-}
-
-// consState is the warm solver's record of one constraint: its selector
-// variable and side edge lists. For a fixed constraint identity the side
-// lists are prefix-stable across regenerations — they start with the
-// chain-pair's leading edge and extend only with reader edges in arrival
-// order (a chain-boundary change mints a new identity, and a chain
-// repartition drops the warm state entirely) — so growth is recognized by
-// length alone and new edges are exactly the regenerated list's suffix.
-type consState struct {
-	sel           sat.Var
-	first, second []sideEdge
-	// encoded marks that the constraint's implication clauses are in the
-	// solver. Pruned constraints stay clause-free: their forced side is
-	// assumed edge-by-edge instead (see auditWarm).
-	encoded bool
-	// resolved is the sound pre-solve resolution state (resolve.go):
-	// consLive, or one of the discharged states. Forced states are
-	// permanent (deadness against a growing closure never reverts);
-	// implied states are revalidated each audit because the side lists
-	// grow.
-	resolved uint8
-	// kind1/kind2/key carry each side's provenance so resolution-forced
-	// edges enter the known graph like construction-time forcing would.
-	kind1, kind2 EdgeKind
-	key          history.Key
-}
-
-// warmState is the persistent solver + theory reused across audits.
-type warmState struct {
-	s  *sat.Solver
-	th *acyclic.EdgeTheory
-	// cons resolves a constraint's cross-audit identity. The key level is
-	// split off so the hot per-constraint lookup hashes two edges, not a
-	// string.
-	cons map[history.Key]map[[2]Edge]*consState
-	// consList holds the constraints in creation order: the per-audit
-	// pruning pass iterates it instead of the map so assumption order is
-	// deterministic without sorting.
-	consList []*consState
-	// kinds records the provenance of inserted constant edges, for
-	// counterexample cycles.
-	kinds map[Edge]KnownEdge
-	// intraHigh is the h.Txns index up to which intra edges are inserted.
-	intraHigh int
-	// assumpBuf is reused across audits for the assumption literals.
-	assumpBuf []sat.Lit
-
-	// cl is the bitset transitive closure of the constant edges, kept
-	// across audits for sound pre-solve resolution (resolve.go). clDirty
-	// requests a full rebuild from kinds under the Pearce–Kelly order
-	// (fresh sessions and closures grown past capacity). cl stays nil
-	// when resolution is disabled or the closure is over budget.
-	cl      *closure
-	clDirty bool
-	// clStaged buffers constants inserted since the last audit's fold;
-	// clPending holds sources of arcs already in cl's adjacency whose
-	// reachability has not been folded into the rows (forcings resolveWarm
-	// deferred). One refresh per audit absorbs both; until then the rows
-	// under-approximate the constant graph, which every resolution read
-	// tolerates (see resolve.go).
-	clStaged  []Edge
-	clPending []int32
-	// resolved / forcedEdges are the session-cumulative resolution
-	// counters backing Report.ResolvedConstraints / ForcedEdges.
-	resolved    int
-	forcedEdges int
-	// tsDecided / tsResidual are the session-cumulative timestamp
-	// fast-path counters backing Report.TSDecided / TSResidual.
-	tsDecided  int
-	tsResidual int
-}
-
 // Incremental is a long-lived checking session over a growing history.
 // Append transactions (Append / the owned History), then Audit; each audit
-// reuses the construction and solver state of the previous ones. The
-// session is not safe for concurrent use.
+// reuses the construction records of the previous ones. The session is not
+// safe for concurrent use.
 //
 // Audit requires the full history to be validated first; the public
-// viper.Checker wrapper does this on every audit. Reports from the warm
-// path carry cumulative solver statistics (the solver lives across
-// audits) and count constraints before known-edge elision, so their
-// Constraints/Solver fields are comparable across audits of one session
-// rather than to a from-scratch batch report; verdicts and witnesses are
-// always equivalent to the batch path on the same history.
+// viper.Checker wrapper does this on every audit. Every report describes
+// that audit alone and equals the batch report on the same history.
 type Incremental struct {
 	opts Options
 	h    *history.History
@@ -177,24 +61,7 @@ type Incremental struct {
 	ranges    []rangeObs
 	dirty     map[history.Key]bool
 	records   map[history.Key]*KeyRecord
-	chainSigs map[history.Key][][]history.TxnID
 
-	// pendingWarm holds keys regenerated since the last warm encode.
-	pendingWarm      map[history.Key]bool
-	partitionChanged bool
-
-	// Timestamp fast-path state (tsorder.go). tsReason is the terminal
-	// unusability verdict ("" while every committed txn so far carries
-	// usable stamps); tsOrder holds the committed event nodes sorted by
-	// (timestamp, node id), maintained incrementally by updateTS with
-	// tsHigh the last ordered timestamp; tsDirty requests a cold rebuild
-	// after non-monotonic ingest.
-	tsReason string
-	tsOrder  []int32
-	tsHigh   int64
-	tsDirty  bool
-
-	warm     *warmState
 	rejected *Report // cached graph rejection (levels are prefix-closed)
 	audits   int
 
@@ -216,17 +83,15 @@ type Incremental struct {
 // contains only genesis; use Append (or write to History()) to grow it.
 func NewIncremental(opts Options) *Incremental {
 	return &Incremental{
-		opts:        opts,
-		h:           history.New(),
-		indexed:     1,
-		g1bHigh:     1,
-		readers:     make(map[history.Key]map[history.TxnID][]history.TxnID),
-		writers:     make(map[history.Key][]history.TxnID),
-		knownKeys:   make(map[history.Key]bool),
-		dirty:       make(map[history.Key]bool),
-		records:     make(map[history.Key]*KeyRecord),
-		chainSigs:   make(map[history.Key][][]history.TxnID),
-		pendingWarm: make(map[history.Key]bool),
+		opts:      opts,
+		h:         history.New(),
+		indexed:   1,
+		g1bHigh:   1,
+		readers:   make(map[history.Key]map[history.TxnID][]history.TxnID),
+		writers:   make(map[history.Key][]history.TxnID),
+		knownKeys: make(map[history.Key]bool),
+		dirty:     make(map[history.Key]bool),
+		records:   make(map[history.Key]*KeyRecord),
 	}
 }
 
@@ -259,17 +124,13 @@ func (inc *Incremental) publish(snap obs.Snapshot) {
 }
 
 // stampGauges writes the session memory gauges onto a report: live-window
-// history footprint, resolution-closure footprint, and the checkpoint
-// certificate's coordinates. Called at the end of every audit so reports
-// and progress snapshots prove (or disprove) that checkpointing bounds
-// the session.
+// history footprint and the checkpoint certificate's coordinates. Called at
+// the end of every audit so reports and progress snapshots prove (or
+// disprove) that checkpointing bounds the session. ClosureBytes stays zero:
+// no resolution closure outlives the audit that built it.
 func (inc *Incremental) stampGauges(rep *Report) {
 	rep.LiveTxns = inc.h.Len()
 	rep.HistoryBytes = inc.h.EstimateBytes()
-	rep.ClosureBytes = 0
-	if w := inc.warm; w != nil && w.cl != nil {
-		rep.ClosureBytes = w.cl.bytes()
-	}
 	if f := inc.h.Fence(); f != nil {
 		rep.Checkpoints = f.Checkpoints
 		rep.FencedTxns = f.Txns
@@ -281,7 +142,7 @@ func (inc *Incremental) stampGauges(rep *Report) {
 }
 
 // obsOpts returns the session options with the Progress callback wrapped
-// to stamp session coordinates and keep lastSnap current — the cold path
+// to stamp session coordinates and keep lastSnap current — AuditContext
 // hands these to CheckPolygraph, whose sampler knows nothing about audits.
 func (inc *Incremental) obsOpts() Options {
 	o := inc.opts
@@ -325,18 +186,10 @@ func (inc *Incremental) numNodes() int32 {
 	return int32(len(inc.h.Txns)) * 2
 }
 
-// warmCapable reports whether the configured options admit the persistent
-// solver at all: levels with real-time obligations restructure their
-// auxiliary suffix-chain edges on every append (not monotone), and the
-// lazy-theory and portfolio ablations build per-attempt solvers by design.
-func (inc *Incremental) warmCapable() bool {
-	return (inc.opts.Level == AdyaSI || inc.opts.Level == Serializability) &&
-		!inc.opts.LazyTheory && inc.opts.Portfolio <= 1
-}
-
-// Audit checks the full current history, reusing state from prior audits.
-// The history must have been validated (history.Validate) since the last
-// append. The verdict always equals CheckHistory on an identical history.
+// Audit checks the full current history, reusing the construction records
+// of prior audits. The history must have been validated (history.Validate)
+// since the last append. The report equals CheckHistory's on an identical
+// history.
 func (inc *Incremental) Audit() *Report { return inc.AuditContext(context.Background()) }
 
 // AuditContext is Audit under a cancellation context: ctx's deadline
@@ -344,8 +197,8 @@ func (inc *Incremental) Audit() *Report { return inc.AuditContext(context.Backgr
 // canceling ctx interrupts a running solve — the audit then returns
 // Outcome Timeout promptly instead of running to completion. A canceled
 // audit leaves the session consistent: the construction state keeps the
-// delta it absorbed, the warm solver (if any) stays sound (interruption
-// never unlearns clauses), and a later audit simply retries the solve.
+// delta it absorbed (records describe the history, not any solve), and a
+// later audit simply runs the check again.
 func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	if inc.opts.Level.Polynomial() {
 		return checkPolynomial(inc.h, inc.opts)
@@ -391,31 +244,15 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 		return inc.rejected
 	}
 
-	var rep *Report
-	if inc.warmCapable() && inc.audits > 0 {
-		if inc.partitionChanged {
-			inc.warm = nil
-			inc.partitionChanged = false
-		}
-		// auditWarm books construction as ending at its entry; close the
-		// span to match. (End is idempotent: on a warm bailout the cold
-		// branch below runs with the construct span already closed, so its
-		// assemble work shows up in the audit span but no sub-span —
-		// bailouts are rare enough not to warrant a second region.)
-		conReg.End()
-		rep = inc.auditWarm(ctx, constructStart, regenWall, regenCPU, workers)
-	}
-	if rep == nil {
-		// Cold path: assemble the record store into a Polygraph and run the
-		// ordinary batch solve (pruning, portfolio, lazy theory all apply).
-		pg := inc.assemble()
-		construct := time.Since(constructStart)
-		conReg.End()
-		rep = CheckPolygraphContext(ctx, pg, inc.obsOpts())
-		rep.Phases.Construct = construct
-		rep.Phases.ConstructCPU = construct - regenWall + regenCPU
-		rep.ConstructWorkers = workers
-	}
+	// Assemble the record store into a Polygraph and run the batch check
+	// (ts fast path, resolution, pruning, portfolio, lazy theory all apply).
+	pg := inc.assemble()
+	construct := time.Since(constructStart)
+	conReg.End()
+	rep := CheckPolygraphContext(ctx, pg, inc.obsOpts())
+	rep.Phases.Construct = construct
+	rep.Phases.ConstructCPU = construct - regenWall + regenCPU
+	rep.ConstructWorkers = workers
 	if rep.Outcome == Reject {
 		// A rejection reached under a live context is a real verdict (the
 		// solver only answers Unsat from a completed refutation), so caching
@@ -466,7 +303,6 @@ func (inc *Incremental) update() {
 	}
 	newTxns := h.Txns[inc.indexed:]
 	inc.indexed = len(h.Txns)
-	inc.updateTS(newTxns)
 
 	// New committed writers first: they define which keys are new, which
 	// older range queries must retroactively observe.
@@ -525,26 +361,12 @@ func (inc *Incremental) update() {
 	}
 }
 
-// regenKey rebuilds one key's emission record and chain partition from the
-// current indexes. lite is only consulted for the node mapping (classify);
-// it is shared read-only across workers.
-func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coalesce bool) (*KeyRecord, [][]history.TxnID) {
-	writers := inc.writers[key]
-	byWriter := inc.readers[key]
-	rec := lite.recordKey(key, writers, byWriter, combine, coalesce)
-	chains := lite.writerChains(writers, byWriter, combine)
-	sig := make([][]history.TxnID, len(chains))
-	for i, c := range chains {
-		sig[i] = c.members
-	}
-	return rec, sig
-}
-
 // regen rebuilds the emission records of every dirty written key on the
 // construction pool (per-key records are independent, and per-key costs
-// vary wildly) and flags any chain partition that was not preserved
-// verbatim. It returns the pass's wall time, summed per-worker busy time,
-// and worker count for the report's construction accounting.
+// vary wildly). It returns the pass's wall time, summed per-worker busy
+// time, and worker count for the report's construction accounting. lite is
+// only consulted for the node mapping (classify); it is shared read-only
+// across workers.
 func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
 	keys := make([]history.Key, 0, len(inc.dirty))
 	for k := range inc.dirty {
@@ -561,44 +383,16 @@ func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
 	combine, coalesce := !inc.opts.DisableCombineWrites, !inc.opts.DisableCoalesce
 	lite := &Polygraph{ser: inc.ser()}
 	recs := make([]*KeyRecord, len(keys))
-	sigs := make([][][]history.TxnID, len(keys))
 	workers = max(1, inc.opts.workers())
 	wall, cpu, _ = runPool(workers, len(keys), func(i int) {
-		recs[i], sigs[i] = inc.regenKey(lite, keys[i], combine, coalesce)
+		key := keys[i]
+		recs[i] = lite.recordKey(key, inc.writers[key], inc.readers[key], combine, coalesce)
 	}, nil)
 
 	for i, key := range keys {
 		inc.records[key] = recs[i]
-		if old, ok := inc.chainSigs[key]; ok && !chainsPreserved(old, sigs[i]) {
-			inc.partitionChanged = true
-		}
-		inc.chainSigs[key] = sigs[i]
-		inc.pendingWarm[key] = true
 	}
 	return wall, cpu, workers
-}
-
-// chainsPreserved reports whether every old chain appears verbatim (same
-// head, same members, same order) in the new partition. New chains over
-// new writers are the only permitted difference; anything else means
-// previously encoded pair constraints reference stale chain boundaries.
-func chainsPreserved(old, cur [][]history.TxnID) bool {
-	heads := make(map[history.TxnID][]history.TxnID, len(cur))
-	for _, c := range cur {
-		heads[c[0]] = c
-	}
-	for _, o := range old {
-		c, ok := heads[o[0]]
-		if !ok || len(c) != len(o) {
-			return false
-		}
-		for i := range o {
-			if c[i] != o[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // assemble materializes the record store as a Polygraph through the
@@ -611,556 +405,4 @@ func (inc *Incremental) assemble() *Polygraph {
 	pg.replay(len(keys), func(i int) *KeyRecord { return inc.records[keys[i]] })
 	pg.addVariantEdges(inc.opts)
 	return pg
-}
-
-// cycleEvidence renders a constant cycle — node path v..u plus the closing
-// edge u→v that failed to insert — with each edge's provenance.
-func cycleEvidence(path []int32, closing KnownEdge, kinds map[Edge]KnownEdge) []KnownEdge {
-	out := make([]KnownEdge, 0, len(path))
-	for i := 0; i+1 < len(path); i++ {
-		e := Edge{path[i], path[i+1]}
-		if ke, ok := kinds[e]; ok {
-			out = append(out, ke)
-		} else {
-			out = append(out, KnownEdge{Edge: e})
-		}
-	}
-	return append(out, closing)
-}
-
-// auditWarm runs one audit against the persistent solver, encoding only
-// what changed since the last encode (everything, after a rebuild). It
-// returns nil if it encountered a record outside the warm invariants —
-// the caller then falls back to the cold path for this audit.
-func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time, regenWall, regenCPU time.Duration, workers int) *Report {
-	opts := &inc.opts
-	h := inc.h
-	construct := time.Since(constructStart)
-
-	rebuild := inc.warm == nil
-	if rebuild {
-		w := &warmState{
-			s:       sat.New(),
-			th:      acyclic.NewEdgeTheory(0),
-			cons:    make(map[history.Key]map[[2]Edge]*consState),
-			kinds:   make(map[Edge]KnownEdge),
-			clDirty: true,
-		}
-		w.s.SetTheory(w.th)
-		inc.warm = w
-	}
-	w := inc.warm
-
-	encodeStart := time.Now()
-	encReg := opts.Tracer.Start("encode")
-	w.s.Relax()
-	n := inc.numNodes()
-	w.th.Grow(int(n))
-
-	// Closure maintenance happens before the encode loop so constants
-	// inserted below can fold in incrementally. A closure that cannot admit
-	// the new nodes in place, or whose incremental patching has exceeded
-	// what a rebuild costs, is dropped and rebuilt from kinds after the
-	// encode loop (under the Pearce–Kelly order the theory maintains).
-	if w.cl != nil && !w.cl.grow(int(n)) {
-		w.cl, w.clDirty = nil, true
-	}
-
-	rep := &Report{Level: opts.Level, Nodes: int(n), ConstructWorkers: workers}
-	rep.Phases.Construct = construct
-	rep.Phases.ConstructCPU = construct - regenWall + regenCPU
-
-	// Constants go straight into the theory graph; a failed insertion is a
-	// cycle among permanently-true edges, i.e. an immediate rejection.
-	// Every new constant is also staged for the resolution closure (when
-	// one is live); the resolution block folds the batch in before use —
-	// incrementally while cheap, via rebuild past the density threshold.
-	var cyc []KnownEdge
-	insert := func(e Edge, kind EdgeKind, key history.Key) bool {
-		if e.From == e.To {
-			return true
-		}
-		if _, seen := w.kinds[e]; seen {
-			return true // already a constant; re-insertion is a no-op
-		}
-		path, ok := w.th.InsertConstantPath(e.From, e.To)
-		if !ok {
-			cyc = cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, w.kinds)
-			return false
-		}
-		w.kinds[e] = KnownEdge{Edge: e, Kind: kind, Key: key}
-		if w.cl != nil {
-			w.clStaged = append(w.clStaged, e)
-		}
-		return true
-	}
-
-	if !inc.ser() {
-		for _, t := range h.Txns[w.intraHigh:] {
-			if !t.Committed() {
-				continue
-			}
-			if !insert(Edge{int32(t.ID) * 2, int32(t.ID)*2 + 1}, EdgeIntra, "") {
-				break
-			}
-		}
-		w.intraHigh = len(h.Txns)
-	}
-
-	// New edge variables start phase-biased by the maintained topological
-	// order, same role as the batch path's schedule bias: an edge running
-	// forward in the current order is probably present.
-	edgeLit := func(e Edge) sat.Lit {
-		if v, ok := w.th.Lookup(e.From, e.To); ok {
-			return sat.PosLit(v)
-		}
-		v := w.th.EdgeVar(w.s, e.From, e.To)
-		if !opts.DisablePhaseBias {
-			w.s.SetPhase(v, w.th.Order(e.From) < w.th.Order(e.To))
-		}
-		return sat.PosLit(v)
-	}
-
-	var keys []history.Key
-	if rebuild {
-		keys = h.Keys()
-	} else {
-		keys = make([]history.Key, 0, len(inc.pendingWarm))
-		for k := range inc.pendingWarm {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	}
-	inc.pendingWarm = make(map[history.Key]bool)
-
-encode:
-	for _, key := range keys {
-		rec := inc.records[key]
-		if rec == nil {
-			continue
-		}
-		for _, e := range rec.WR {
-			if !insert(e, EdgeWR, key) {
-				break encode
-			}
-		}
-		kcons := w.cons[key]
-		for j := range rec.Ops {
-			op := &rec.Ops[j]
-			if !op.Cons {
-				if !insert(op.Edge, op.Kind, key) {
-					break encode
-				}
-				continue
-			}
-			if op.FBad || op.SBad || (!op.HasID && len(op.First) > 0 && len(op.Second) > 0) {
-				// Outside the warm invariants (chain-pair constraints never
-				// carry impossible sides); rebuild cold next time.
-				inc.warm = nil
-				encReg.End()
-				return nil
-			}
-			if len(op.First) == 0 || len(op.Second) == 0 {
-				continue // one side holds trivially
-			}
-			st := kcons[op.ID]
-			if st == nil {
-				st = &consState{sel: w.s.NewVar(), kind1: op.Kind, kind2: op.Kind2, key: key}
-				if kcons == nil {
-					kcons = make(map[[2]Edge]*consState)
-					w.cons[key] = kcons
-				}
-				kcons[op.ID] = st
-				w.consList = append(w.consList, st)
-				if !opts.DisablePhaseBias {
-					fwd := true
-					for _, e := range op.First {
-						if w.th.Order(e.From) >= w.th.Order(e.To) {
-							fwd = false
-							break
-						}
-					}
-					w.s.SetPhase(st.sel, fwd)
-				}
-			}
-			for _, e := range op.First[len(st.first):] {
-				se := sideEdge{e: e, lit: sat.LitUndef}
-				if st.encoded {
-					se.lit = edgeLit(e)
-					w.s.AddClause(sat.NegLit(st.sel), se.lit)
-				}
-				st.first = append(st.first, se)
-			}
-			for _, e := range op.Second[len(st.second):] {
-				se := sideEdge{e: e, lit: sat.LitUndef}
-				if st.encoded {
-					se.lit = edgeLit(e)
-					w.s.AddClause(sat.PosLit(st.sel), se.lit)
-				}
-				st.second = append(st.second, se)
-			}
-		}
-	}
-
-	rep.KnownEdges = w.th.NumConstants()
-	rep.Constraints = len(w.consList)
-	rep.EdgeVars = w.s.NumVars()
-	rep.Solver = w.s.Stats
-	rep.Reorders, rep.ReorderedNodes = w.th.Reorders()
-	rep.Phases.Encode = time.Since(encodeStart)
-	encReg.End()
-
-	if cyc != nil {
-		rep.Outcome = Reject
-		rep.KnownCycle = cyc
-		return rep
-	}
-
-	// Sound pre-solve resolution against the persistent closure
-	// (resolve.go): rebuild the closure if requested (fresh warm state,
-	// growth past capacity, or staleness), then discharge every constraint
-	// the constant graph's reachability already decides. A rejection found
-	// here carries a known-edge witness exactly like a failed constant
-	// insertion above.
-	if !opts.DisableResolve {
-		resolveStart := time.Now()
-		// Fold the constants inserted since the last audit as one batch:
-		// stage the arcs, then recompute only the rows their sources can
-		// have changed (refresh); when most rows are dirty anyway, refresh
-		// declines and the level-parallel full build recomputes everything.
-		if w.cl != nil && !w.clDirty && (len(w.clStaged) > 0 || len(w.clPending) > 0) {
-			srcs := w.clPending
-			for _, e := range w.clStaged {
-				w.cl.addArc(e.From, e.To)
-				srcs = append(srcs, e.From)
-			}
-			order := make([]int32, n)
-			for i := int32(0); i < n; i++ {
-				order[w.th.Order(i)] = i
-			}
-			if !w.cl.refresh(order, srcs) {
-				w.cl.build(order, opts.workers())
-			}
-		}
-		w.clStaged = w.clStaged[:0]
-		w.clPending = w.clPending[:0]
-		if w.clDirty {
-			w.clDirty = false
-			capN := int(n) + int(n)/2 + 64
-			if closureFeasible(int(n), capN) {
-				cl := newClosure(int(n), capN)
-				for _, e := range sortedEdgeList(w.kinds) {
-					cl.addArc(e.From, e.To)
-				}
-				// The theory's Pearce–Kelly order is a topological order of
-				// a supergraph of the constants, so it serves as the build
-				// order directly — no fresh topological sort needed.
-				order := make([]int32, n)
-				for i := int32(0); i < n; i++ {
-					order[w.th.Order(i)] = i
-				}
-				cl.build(order, opts.workers())
-				w.cl = cl
-			} else {
-				w.cl = nil
-			}
-		}
-		if w.cl != nil {
-			witness := resolveWarm(w, opts.workers())
-			rep.ResolvedConstraints, rep.ForcedEdges = w.resolved, w.forcedEdges
-			rep.KnownEdges = w.th.NumConstants() // forcing adds constants
-			rep.Phases.Resolve = time.Since(resolveStart)
-			if witness != nil {
-				rep.Outcome = Reject
-				rep.KnownCycle = witness
-				return rep
-			}
-		} else {
-			rep.Phases.Resolve = time.Since(resolveStart)
-		}
-	}
-	rep.ResolvedConstraints, rep.ForcedEdges = w.resolved, w.forcedEdges
-
-	// Timestamp fast path, warm flavor (tsorder.go): classify the live
-	// constraints against the strict drift relation once per audit. With
-	// every live constraint decided and every constant edge forward in the
-	// maintained timestamp order, that order is a genuine compatible-graph
-	// witness — accept without touching the solver. Otherwise the decided
-	// sides join the solve below as assumptions; Unsat under them drops
-	// the timestamps and retries, so a verdict never rests on clock
-	// readings. Non-monotonic ingest left the order dirty in updateTS; the
-	// cold fallback re-sorts it here, once, before classification.
-	var tsChoice []uint8
-	if !opts.DisableTSFastPath && ctx.Err() == nil {
-		tsStart := time.Now()
-		if inc.tsReason != "" {
-			rep.TSUnusable = inc.tsReason
-		} else {
-			if inc.tsDirty {
-				inc.rebuildTSOrder()
-			}
-			tw := &tsWarm{h: h, ser: inc.ser(), drift: opts.ClockDrift.Nanoseconds()}
-			tsChoice = make([]uint8, len(w.consList))
-			decided, live := 0, 0
-			for i, st := range w.consList {
-				if st.resolved != consLive {
-					continue
-				}
-				live++
-				if first, ok := tw.choose(st); ok {
-					decided++
-					if first {
-						tsChoice[i] = tsChoiceFirst
-					} else {
-						tsChoice[i] = tsChoiceSecond
-					}
-				}
-			}
-			w.tsDecided += decided
-			w.tsResidual += live - decided
-			rep.TSDecided, rep.TSResidual = w.tsDecided, w.tsResidual
-			if decided == live && constantsForward(w.kinds, inc.tsOrderPositions(n)) {
-				rep.Phases.TSOrder = time.Since(tsStart)
-				rep.Outcome = Accept
-				rep.WitnessPositions = inc.tsWitness(n)
-				rep.selfCheck(&Polygraph{H: h, Level: opts.Level}, *opts)
-				return rep
-			}
-		}
-		rep.Phases.TSOrder = time.Since(tsStart)
-	}
-
-	solveStart := time.Now()
-	solReg := opts.Tracer.Start("solve")
-	w.s.SetDeadline(solveDeadline(ctx, *opts))
-	// The solver is persistent: re-arm it (an interrupt that canceled a
-	// previous audit must not stop this one) and watch this audit's context.
-	w.s.ClearInterrupt()
-	defer watchCancel(ctx, w.s)()
-
-	// The warm analog of the batch path's §3.5 pruning. Constraints whose
-	// sides the maintained topological order (standing in for the timestamp
-	// schedule) classifies as one-way — the other side has a backward edge
-	// of span >= k — are not encoded at all: the consistent side's edge
-	// literals are assumed directly, which satisfies the disjunction
-	// outright without putting its clauses in the solver. Only constraints
-	// the radius cannot force carry clauses, mirroring the batch path's
-	// small pruned encodings; once encoded, a constraint stays encoded
-	// (clause addition is monotone) and later prunes assume its selector
-	// instead. Unsat under assumptions is not a refutation — relax the
-	// radius and retry, doubling k exactly like the batch loop.
-	sideLit := func(side []sideEdge, i int) sat.Lit {
-		if side[i].lit == sat.LitUndef {
-			side[i].lit = edgeLit(side[i].e)
-		}
-		return side[i].lit
-	}
-	encodeCons := func(st *consState) {
-		st.encoded = true
-		for i := range st.first {
-			w.s.AddClause(sat.NegLit(st.sel), sideLit(st.first, i))
-		}
-		for i := range st.second {
-			w.s.AddClause(sat.PosLit(st.sel), sideLit(st.second, i))
-		}
-	}
-	// tsAssume asserts a timestamp-decided constraint's chosen side for
-	// one solve pass: selector polarity when the constraint already
-	// carries clauses, the side's edge literals directly when it does not
-	// (which satisfies the disjunction without encoding it — the same
-	// trick the radius pruning below plays).
-	tsAssume := func(st *consState, choice uint8, assumps []sat.Lit) []sat.Lit {
-		if choice == tsChoiceFirst {
-			if st.encoded {
-				return append(assumps, sat.PosLit(st.sel))
-			}
-			for i := range st.first {
-				assumps = append(assumps, sideLit(st.first, i))
-			}
-			return assumps
-		}
-		if st.encoded {
-			return append(assumps, sat.NegLit(st.sel))
-		}
-		for i := range st.second {
-			assumps = append(assumps, sideLit(st.second, i))
-		}
-		return assumps
-	}
-	// Solve-time progress sampling against the persistent solver. The hook
-	// runs synchronously on this goroutine from inside SolveAssuming, so
-	// reading the solver, theory, and rep is race-free; it is reinstalled
-	// each audit to capture the current audit's epoch. (warmCapable already
-	// excludes portfolios, so unlike the batch path there is no race to
-	// suppress it for.)
-	if opts.Progress != nil {
-		w.s.SetProgress(opts.progressInterval(), func() {
-			snap := obs.Snapshot{
-				Phase:               "solve",
-				ElapsedNS:           int64(time.Since(constructStart)),
-				Nodes:               int(n),
-				KnownEdges:          w.th.NumConstants(),
-				Constraints:         len(w.consList),
-				PrunedConstraints:   rep.PrunedConstraints,
-				ResolvedConstraints: rep.ResolvedConstraints,
-				ForcedEdges:         rep.ForcedEdges,
-				EdgeVars:            w.s.NumVars(),
-				Conflicts:           w.s.Stats.Conflicts,
-				Decisions:           w.s.Stats.Decisions,
-				Propagations:        w.s.Stats.Propagations,
-				Learnts:             int64(w.s.Stats.Learnts),
-				Restarts:            w.s.Stats.Restarts,
-				TheoryConfl:         w.s.Stats.TheoryConfl,
-				HeapInUse:           obs.HeapInUse(),
-			}
-			snap.Reorders, snap.ReorderedNodes = w.th.Reorders()
-			inc.publish(snap)
-		})
-	}
-
-	k := opts.initialK()
-	if opts.DisablePruning {
-		k = 0
-	}
-	// The per-retry pruning pass below also *encodes* (encodeCons emits a
-	// constraint's clauses the first time the radius cannot force it), so
-	// its time belongs to the Encode phase — the batch path books its
-	// pruning pass there too. Accumulate it and subtract from Solve, or the
-	// warm decomposition drifts from the batch one.
-	var encodeExtra time.Duration
-	var res sat.Result
-	for {
-		if ctx.Err() != nil {
-			res = sat.Unknown
-			break
-		}
-		passStart := time.Now()
-		assumps := w.assumpBuf[:0]
-		pruned, tsAssumed := 0, 0
-		if k > 0 {
-			bad := func(side []sideEdge) bool {
-				for i := range side {
-					e := side[i].e
-					if int(w.th.Order(e.From))-int(w.th.Order(e.To)) >= k {
-						return true
-					}
-				}
-				return false
-			}
-			for ci, st := range w.consList {
-				if st.resolved != consLive {
-					continue // discharged by resolution
-				}
-				if tsChoice != nil && tsChoice[ci] != tsChoiceNone {
-					tsAssumed++
-					assumps = tsAssume(st, tsChoice[ci], assumps)
-					continue
-				}
-				fBad, sBad := bad(st.first), bad(st.second)
-				switch {
-				case fBad == sBad:
-					// Both schedule-consistent, or neither: the radius has
-					// no opinion, so the solver must own this constraint.
-					// (Unlike the batch path, both-sides-bad is not a fast
-					// Unsat here — no stride constants back the prune.)
-					if !st.encoded {
-						encodeCons(st)
-					}
-				case fBad:
-					pruned++
-					if st.encoded {
-						assumps = append(assumps, sat.NegLit(st.sel))
-					} else {
-						for i := range st.second {
-							assumps = append(assumps, sideLit(st.second, i))
-						}
-					}
-				case sBad:
-					pruned++
-					if st.encoded {
-						assumps = append(assumps, sat.PosLit(st.sel))
-					} else {
-						for i := range st.first {
-							assumps = append(assumps, sideLit(st.first, i))
-						}
-					}
-				}
-			}
-		} else {
-			for ci, st := range w.consList {
-				if st.resolved != consLive {
-					continue
-				}
-				if tsChoice != nil && tsChoice[ci] != tsChoiceNone {
-					tsAssumed++
-					assumps = tsAssume(st, tsChoice[ci], assumps)
-					continue
-				}
-				if !st.encoded {
-					encodeCons(st)
-				}
-			}
-		}
-		// Implication-discharged constraints that already carry clauses:
-		// assume the implied side's selector polarity so the solver never
-		// branches on them. An assumption (not a unit clause) because the
-		// discharge is revoked if the implied side later grows a
-		// non-implied edge; forced discharges, by contrast, are permanent
-		// and got unit clauses at forcing time.
-		for _, st := range w.consList {
-			if !st.encoded {
-				continue
-			}
-			if st.resolved == consImpliedFirst {
-				assumps = append(assumps, sat.PosLit(st.sel))
-			} else if st.resolved == consImpliedSecond {
-				assumps = append(assumps, sat.NegLit(st.sel))
-			}
-		}
-		w.assumpBuf = assumps
-		rep.FinalK = k
-		rep.PrunedConstraints = pruned
-		encodeExtra += time.Since(passStart)
-		res = w.s.SolveAssuming(assumps...)
-		if res == sat.Unsat && w.s.Okay() && (pruned > 0 || tsAssumed > 0) {
-			// Unsatisfiable only under the pruning or timestamp
-			// assumptions. Timestamp choices may simply be wrong about
-			// this history, so they are dropped first — wholesale, since a
-			// clock inconsistent once is not worth trusting piecemeal —
-			// and only a clock-free Unsat escalates the pruning radius.
-			rep.Retries++
-			w.s.Relax()
-			if tsAssumed > 0 {
-				tsChoice = nil
-			} else {
-				k *= 2
-				if k >= int(n) {
-					k = 0 // final, exact attempt
-				}
-			}
-			continue
-		}
-		break
-	}
-	rep.Solver = w.s.Stats
-	rep.EdgeVars = w.s.NumVars()
-	rep.Reorders, rep.ReorderedNodes = w.th.Reorders()
-	switch res {
-	case sat.Sat:
-		rep.Outcome = Accept
-		witness := make([]int32, n)
-		for i := int32(0); i < n; i++ {
-			witness[i] = w.th.Order(i)
-		}
-		rep.WitnessPositions = witness
-		rep.selfCheck(&Polygraph{H: h, Level: opts.Level}, *opts)
-	case sat.Unsat:
-		rep.Outcome = Reject
-	default:
-		rep.Outcome = Timeout
-	}
-	rep.Phases.Encode += encodeExtra
-	rep.Phases.Solve = time.Since(solveStart) - encodeExtra
-	solReg.End()
-	return rep
 }

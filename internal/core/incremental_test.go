@@ -22,9 +22,9 @@ func (inc *Incremental) mustAudit(t *testing.T, txns ...*history.Txn) *Report {
 	return inc.Audit()
 }
 
-// TestIncrementalWarmPathEngages asserts the second audit of an eligible
-// session actually runs on the persistent solver rather than silently
-// falling back to the cold path on every round.
+// TestIncrementalWarmPathEngages audits one session three times — half the
+// history, all of it, then again with no appends — and asserts every audit
+// accepts with a witness that passes the self-check.
 func TestIncrementalWarmPathEngages(t *testing.T) {
 	h, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 4, Txns: 40, Seed: 3})
 	if err != nil {
@@ -36,37 +36,28 @@ func TestIncrementalWarmPathEngages(t *testing.T) {
 	if rep.Outcome != Accept {
 		t.Fatalf("first audit: %v", rep.Outcome)
 	}
-	if inc.warm != nil {
-		t.Fatal("first audit must be batch-style (no warm state yet)")
-	}
 	rep = inc.mustAudit(t, h.Txns[1+mid:]...)
 	if rep.Outcome != Accept {
 		t.Fatalf("second audit: %v", rep.Outcome)
 	}
-	if inc.warm == nil {
-		t.Fatal("second audit of an eligible session should retain warm solver state")
-	}
 	if rep.SelfCheckErr != nil {
-		t.Fatalf("warm witness self-check: %v", rep.SelfCheckErr)
+		t.Fatalf("second audit witness self-check: %v", rep.SelfCheckErr)
 	}
-	// Third audit with no appends: same warm solver, same verdict.
-	if rep = inc.mustAudit(t); rep.Outcome != Accept || inc.warm == nil {
-		t.Fatalf("no-op re-audit: outcome=%v warm=%v", rep.Outcome, inc.warm != nil)
+	// Third audit with no appends: same verdict.
+	if rep = inc.mustAudit(t); rep.Outcome != Accept {
+		t.Fatalf("no-op re-audit: outcome=%v", rep.Outcome)
 	}
 }
 
-// TestIncrementalWarmNotUsedForRealTimeLevels: levels with real-time
-// obligations restructure auxiliary edges per audit and must stay on the
-// batch-style path.
+// TestIncrementalWarmNotUsedForRealTimeLevels: on levels with real-time
+// obligations, whose auxiliary edges change with every append, a session
+// audited twice matches the batch verdict.
 func TestIncrementalWarmNotUsedForRealTimeLevels(t *testing.T) {
 	h := figure2(t)
 	for _, level := range []Level{GSI, StrongSessionSI, StrongSI} {
 		inc := NewIncremental(Options{Level: level})
 		inc.mustAudit(t, h.Txns[1:2]...)
 		rep := inc.mustAudit(t, h.Txns[2:]...)
-		if inc.warm != nil {
-			t.Fatalf("%v: warm state must never be created", level)
-		}
 		want := CheckHistory(h, Options{Level: level})
 		if rep.Outcome != want.Outcome {
 			t.Fatalf("%v: incremental=%v batch=%v", level, rep.Outcome, want.Outcome)
@@ -95,9 +86,8 @@ func TestIncrementalRejectIsCached(t *testing.T) {
 }
 
 // TestIncrementalChainGrowthStaysSound: a later read-modify-write that
-// merges two previously separate writer chains changes the chain
-// partition; the session must detect it, drop the warm solver, and still
-// match the batch verdict.
+// extends a writer chain changes the key's chain partition; the session
+// regenerates the key's record and still matches the batch verdict.
 func TestIncrementalChainGrowthStaysSound(t *testing.T) {
 	b := history.NewBuilder()
 	s1, s2, s3 := b.Session(), b.Session(), b.Session()
@@ -111,14 +101,14 @@ func TestIncrementalChainGrowthStaysSound(t *testing.T) {
 	if rep.Outcome != Accept {
 		t.Fatalf("first audit: %v", rep.Outcome)
 	}
-	rep = inc.mustAudit(t) // no-op audit to create warm state
-	if rep.Outcome != Accept || inc.warm == nil {
-		t.Fatalf("warm-up audit: outcome=%v warm=%v", rep.Outcome, inc.warm != nil)
+	rep = inc.mustAudit(t) // no-op audit
+	if rep.Outcome != Accept {
+		t.Fatalf("no-op audit: outcome=%v", rep.Outcome)
 	}
 
 	// An RMW of t1's write extends t1's chain: x's partition changes from
 	// {t1},{t2} to {t1,t4},{t2} — old chain {t1} is gone (t1 now heads a
-	// longer chain), so the warm encoding is stale and must be dropped.
+	// longer chain), so x's constraints must be rebuilt from scratch.
 	rmw := &history.Txn{Session: 3, Ops: []history.Op{
 		{Kind: history.OpRead, Key: "x", Observed: t1.WriteIDOf("x")},
 		{Kind: history.OpWrite, Key: "x", WriteID: 777},
@@ -189,6 +179,53 @@ func TestIncrementalFirstAuditMatchesBatchPolygraph(t *testing.T) {
 				len(got.Cons[i].Second) != len(want.Cons[i].Second) ||
 				got.Cons[i].Key != want.Cons[i].Key {
 				t.Fatalf("%v: constraint %d differs", level, i)
+			}
+		}
+	}
+}
+
+// TestSessionReportMatchesBatch streams a BlindW-RW history into a session,
+// once with its timestamps and once with them zeroed, and at every audit
+// compares the session's report with CheckHistory on the same history:
+// a session report describes that audit alone, field for field.
+func TestSessionReportMatchesBatch(t *testing.T) {
+	type fields struct {
+		Outcome                                                          Outcome
+		Nodes, KnownEdges, Constraints, ResolvedConstraints, ForcedEdges int
+		TSDecided, TSResidual                                            int
+		WitnessVerified                                                  bool
+	}
+	pick := func(r *Report) fields {
+		return fields{r.Outcome, r.Nodes, r.KnownEdges, r.Constraints, r.ResolvedConstraints,
+			r.ForcedEdges, r.TSDecided, r.TSResidual, r.WitnessVerified}
+	}
+	h, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 8, Txns: 400, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stamped := range []bool{true, false} {
+		opts := Options{Level: AdyaSI, SelfCheck: true}
+		inc := NewIncremental(opts)
+		const step = 50
+		for at := 1; at < len(h.Txns); at += step {
+			hi := min(at+step, len(h.Txns))
+			for _, tx := range h.Txns[at:hi] {
+				t2 := *tx
+				if !stamped {
+					t2.BeginAt, t2.CommitAt = 0, 0
+				}
+				inc.Append(&t2)
+			}
+			if err := inc.History().Validate(); err != nil {
+				t.Fatal(err)
+			}
+			got := inc.Audit()
+			want := CheckHistory(inc.History(), opts)
+			if g, w := pick(got), pick(want); g != w {
+				t.Fatalf("stamped=%v, audit at %d txns: session %+v, batch %+v", stamped, hi-1, g, w)
+			}
+			if got.Outcome != Accept {
+				t.Fatalf("stamped=%v, audit at %d txns: %v, want Accept", stamped, hi-1, got.Outcome)
 			}
 		}
 	}

@@ -14,13 +14,11 @@
 // rejected AdyaSI pays for the polynomial chain — and then bottom-up with
 // its own short-circuit, to name the weakest violated level.
 //
-// A Matrix is a session, not a one-shot: its AdyaSI and Serializability
-// sub-sessions are ordinary warm Incrementals and its GSI sub-session
-// keeps the incremental record store (GSI's real-time edges force a cold
-// solve, but construction stays delta-priced), so auditing a growing
-// history repeatedly costs far less than six independent checks — one
-// validation, one observation index across the polynomial levels, two
-// persistent solvers, three derived verdicts in the common case.
+// A Matrix is a session, not a one-shot: its AdyaSI, Serializability and
+// GSI sub-sessions are ordinary Incrementals, whose construction stays
+// delta-priced, so auditing a growing history repeatedly costs far less
+// than six independent checks — one validation, one observation index
+// across the polynomial levels, three derived verdicts in the common case.
 package core
 
 import (
@@ -113,17 +111,15 @@ func (m *MatrixReport) Outcome() Outcome {
 
 // Matrix is a long-lived verdict-matrix session over a growing history.
 // Bind is implicit: each audit names the history, and the sub-sessions
-// re-bind (dropping their warm state) whenever the pointer changes — which
-// is also how a checkpoint's history replacement is detected. Like
-// Incremental, a Matrix is not safe for concurrent use, and audits require
-// the history to be validated first.
+// re-bind (dropping their construction records) whenever the pointer
+// changes — which is also how a checkpoint's history replacement is
+// detected. Like Incremental, a Matrix is not safe for concurrent use, and
+// audits require the history to be validated first.
 type Matrix struct {
 	opts Options
 	h    *history.History
 
-	// Warm sub-sessions sharing h: AdyaSI and Serializability keep
-	// persistent solvers; GSI always solves cold (real-time edges are not
-	// monotone) but keeps its construction record store.
+	// Sub-sessions sharing h, each keeping its construction record store.
 	si, gsi, ser *Incremental
 }
 

@@ -72,7 +72,7 @@ func TestMatrixMatchesIndependentChecks(t *testing.T) {
 }
 
 // TestMatrixIncrementalDifferential streams a history — clean prefix, an
-// injected long fork in the tail — into a warm Matrix session, auditing
+// injected long fork in the tail — into one Matrix session, auditing
 // after every batch, and pins each audit's per-level outcomes to a fresh
 // one-shot CheckMatrixHistory over a snapshot of the same prefix. The
 // accept→reject transition must happen at the same batch with the same
@@ -109,11 +109,11 @@ func TestMatrixIncrementalDifferential(t *testing.T) {
 		want := CheckMatrixHistory(snap, Options{})
 		for _, l := range MatrixLevels {
 			if g, w := got.Verdict(l).Outcome, want.Verdict(l).Outcome; g != w {
-				t.Fatalf("prefix %d, %v: warm %v, one-shot %v", live.Len(), l, g, w)
+				t.Fatalf("prefix %d, %v: session %v, one-shot %v", live.Len(), l, g, w)
 			}
 		}
 		if got.Violated != want.Violated || got.WeakestViolated != want.WeakestViolated {
-			t.Fatalf("prefix %d: warm (%v,%v), one-shot (%v,%v)", live.Len(),
+			t.Fatalf("prefix %d: session (%v,%v), one-shot (%v,%v)", live.Len(),
 				got.Violated, got.WeakestViolated, want.Violated, want.WeakestViolated)
 		}
 		// A clean SI prefix may legitimately reject at Serializability

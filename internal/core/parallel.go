@@ -54,18 +54,6 @@ type KeyOp struct {
 	First, Second []Edge
 	FBad, SBad    bool
 	Kind2         EdgeKind
-
-	// ID is a cross-audit identity for the constraint, used by the
-	// incremental checker to match a regenerated constraint with the one
-	// it encoded in an earlier audit round: the classified leading edge of
-	// each side. Each side's leading edge is the pair's ww edge (or, for
-	// uncoalesced reader constraints, the reader's rw edge), which pins
-	// down the chain pair (and reader) independently of how the remaining
-	// side members grow as new readers arrive. HasID is false when either
-	// side was empty or its leading edge did not classify as a normal
-	// edge; such constraints are never warm-matched.
-	ID    [2]Edge
-	HasID bool
 }
 
 // KeyRecord is everything one key contributes to the polygraph. Node ids
@@ -107,19 +95,10 @@ func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKin
 	}
 	f, fBad := resolve(first)
 	s, sBad := resolve(second)
-	op := KeyOp{
+	kr.rec.Ops = append(kr.rec.Ops, KeyOp{
 		Cons: true, First: f, Second: s, FBad: fBad, SBad: sBad,
 		Kind: kind1, Kind2: kind2,
-	}
-	if len(first) > 0 && len(second) > 0 {
-		e0, cls0 := kr.pg.classify(first[0].fromT, first[0].fromCommit, first[0].toT, first[0].toCommit)
-		e1, cls1 := kr.pg.classify(second[0].fromT, second[0].fromCommit, second[0].toT, second[0].toCommit)
-		if cls0 == edgeNormal && cls1 == edgeNormal {
-			op.ID = [2]Edge{e0, e1}
-			op.HasID = true
-		}
-	}
-	kr.rec.Ops = append(kr.rec.Ops, op)
+	})
 }
 
 // recordKey runs the per-key recording pass for one key: its

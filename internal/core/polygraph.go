@@ -106,7 +106,6 @@ type Polygraph struct {
 	nodeTS []int64
 
 	ser      bool
-	auxBase  int32
 	knownSet map[Edge]bool
 
 	// Construction timing: buildWall is wall-clock time, buildCPU the same
@@ -141,19 +140,34 @@ func (pg *Polygraph) Commit(t history.TxnID) int32 {
 }
 
 // NodeName renders a node id for diagnostics ("B12", "C12", "T12", "aux3").
-func (pg *Polygraph) NodeName(n int32) string {
-	if n >= pg.auxBase {
-		return fmt.Sprintf("aux%d", n-pg.auxBase)
-	}
+func (pg *Polygraph) NodeName(n int32) string { return NodeName(pg.H, pg.Level, n) }
+
+// NodeName renders node n of a counterexample cycle checked at level over
+// h, without building the polygraph: the node mapping depends only on the
+// transaction count and the level. Polynomial levels' nodes are
+// transaction ids of the forced commit order ("T12"); the solver levels'
+// are begin/commit event nodes ("B12", "C12"; "T12" under the
+// Serializability mapping) followed by the real-time levels' auxiliary
+// nodes ("aux3").
+func NodeName(h *history.History, level Level, n int32) string {
 	// Transaction ids in diagnostics are external: behind a checkpoint
 	// fence, live internal ids are offset by the fenced count so cycles
 	// keep naming the transactions the client actually streamed (genesis
 	// stays 0, matching validation errors).
-	ext := func(t int32) history.TxnID { return pg.H.Fence().ExternalID(history.TxnID(t)) }
-	if pg.ser {
+	ext := func(t int32) history.TxnID { return h.Fence().ExternalID(history.TxnID(t)) }
+	if level.Polynomial() {
 		return fmt.Sprintf("T%d", ext(n))
 	}
-	if n%2 == 0 {
+	auxBase := int32(len(h.Txns))
+	if level != Serializability {
+		auxBase *= 2
+	}
+	switch {
+	case n >= auxBase:
+		return fmt.Sprintf("aux%d", n-auxBase)
+	case level == Serializability:
+		return fmt.Sprintf("T%d", ext(n))
+	case n%2 == 0:
 		return fmt.Sprintf("B%d", ext(n/2))
 	}
 	return fmt.Sprintf("C%d", ext(n/2))
@@ -321,7 +335,6 @@ func newPolygraph(h *history.History, level Level) *Polygraph {
 	if !pg.ser {
 		pg.NumNodes *= 2
 	}
-	pg.auxBase = pg.NumNodes
 	pg.initNodeTS()
 	if !pg.ser {
 		for _, t := range h.Txns {

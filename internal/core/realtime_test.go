@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,5 +210,34 @@ func TestAdyaSIIgnoresTimestamps(t *testing.T) {
 		if ke.Kind == EdgeRealTime {
 			t.Fatal("AdyaSI polygraph contains real-time edges")
 		}
+	}
+}
+
+// TestNodeNameAuxInRealTimeCycle pins the cycle namer on Strong SI, whose
+// known cycles pass through the real-time chain's auxiliary nodes: a read
+// of x's initial version after x's overwrite committed (in real time, in
+// another session) closes such a cycle. Three transactions make six event
+// nodes, so the auxiliary nodes start at id 6, and the rendered cycle must
+// name them from the history and level alone.
+func TestNodeNameAuxInRealTimeCycle(t *testing.T) {
+	b := history.NewBuilder()
+	b.Session().Txn().Write("x").Commit()
+	b.Session().Txn().ReadGenesis("x").Commit()
+	h := b.MustHistory()
+	opts := Options{Level: StrongSI}
+	rep := CheckHistory(h, opts)
+	if rep.Outcome != Reject || rep.KnownCycle == nil {
+		t.Fatalf("outcome %v, cycle %v; want a known-cycle rejection", rep.Outcome, rep.KnownCycle)
+	}
+	var got []string
+	for _, e := range renderCycle(h, rep.KnownCycle, opts) {
+		got = append(got, e.From+"-"+e.Kind+"->"+e.To)
+	}
+	want := []string{"C1-real-time->aux3", "aux3-real-time->B2", "B2-rw->C1"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("rendered cycle %v, want %v", got, want)
+	}
+	if n := Build(h, opts).NumNodes; n != 10 {
+		t.Fatalf("polygraph has %d nodes, want 6 event + 4 auxiliary", n)
 	}
 }

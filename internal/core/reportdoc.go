@@ -8,7 +8,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"viper/internal/history"
@@ -109,37 +108,19 @@ func BuildReportDoc(tool, path string, h *history.History, parse time.Duration, 
 	return doc
 }
 
-// renderCycle maps a counterexample cycle onto named edges. The
-// polynomial levels' nodes are transaction ids of the forced commit-order
-// relation; the solver levels' nodes are polygraph event nodes, named by
-// a polygraph built at the report's level (real-time levels put auxiliary
-// nodes in cycles, so the mapping must match).
+// renderCycle maps a counterexample cycle onto named edges (see NodeName
+// for the node mapping at each level).
 func renderCycle(h *history.History, cycle []KnownEdge, opts Options) []obs.CycleEdge {
-	name := func(n int32) string { return txnNodeName(h, n) }
-	if !opts.Level.Polynomial() {
-		pg := Build(h, opts)
-		name = pg.NodeName
-	}
 	out := make([]obs.CycleEdge, 0, len(cycle))
 	for _, ke := range cycle {
 		out = append(out, obs.CycleEdge{
-			From: name(ke.From),
-			To:   name(ke.To),
+			From: NodeName(h, opts.Level, ke.From),
+			To:   NodeName(h, opts.Level, ke.To),
 			Kind: ke.Kind.String(),
 			Key:  string(ke.Key),
 		})
 	}
 	return out
-}
-
-// txnNodeName renders a transaction-id node (the polynomial levels'
-// commit-order graph), honoring checkpoint external ids like the
-// polygraph's NodeName does.
-func txnNodeName(h *history.History, n int32) string {
-	if f := h.Fence(); f != nil {
-		return fmt.Sprintf("T%d", f.ExternalID(history.TxnID(n)))
-	}
-	return fmt.Sprintf("T%d", n)
 }
 
 // BuildMatrixDoc assembles the exportable report document for one matrix

@@ -26,74 +26,49 @@ package core
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"viper/internal/bitset"
 	"viper/internal/history"
-	"viper/internal/sat"
 )
 
-// closureByteBudget caps the closure matrix: n rows of Words(cap) packed
+// closureByteBudget caps the closure matrix: n rows of Words(n) packed
 // words. Past this the pass is skipped entirely (resolution is an
 // optimization; correctness never depends on it). 128 MiB admits ~32k
 // nodes — an order of magnitude past the paper's workload sizes.
 const closureByteBudget = 128 << 20
 
-// closureFeasible reports whether an n-node closure with row capacity capN
-// fits the byte budget.
-func closureFeasible(n, capN int) bool {
-	return n > 0 && int64(n)*int64(bitset.Words(capN))*8 <= closureByteBudget
+// closureFeasible reports whether an n-node closure fits the byte budget.
+func closureFeasible(n int) bool {
+	return n > 0 && int64(n)*int64(bitset.Words(n))*8 <= closureByteBudget
 }
 
-// closure is the bitset transitive closure of a growing DAG. Rows are
-// indexed and bit-positioned by node id (stable under Pearce–Kelly
-// reorderings); sinks keep nil rows. The adjacency lists (out/in) hold the
-// folded-in edges and drive both incremental propagation and witness
-// extraction.
+// closure is the bitset transitive closure of a DAG. Rows are indexed and
+// bit-positioned by node id; sinks keep nil rows. The adjacency lists
+// (out/in) hold the folded-in edges and drive both incremental propagation
+// and witness extraction.
 type closure struct {
 	n    int // nodes covered
-	capN int // row bit capacity (n may grow up to capN without restriding)
 	rows []bitset.Set
 	out  [][]int32
 	in   [][]int32
-
-	edges int // edges folded in
 }
 
-// newClosure returns an empty closure over n nodes with row capacity capN
-// (>= n; the slack lets a warm session grow without rebuilding).
-func newClosure(n, capN int) *closure {
+// newClosure returns an empty closure over n nodes.
+func newClosure(n int) *closure {
 	return &closure{
 		n:    n,
-		capN: capN,
 		rows: make([]bitset.Set, n),
 		out:  make([][]int32, n),
 		in:   make([][]int32, n),
 	}
 }
 
-// grow extends the closure to cover n nodes (empty rows), reporting
-// whether the row capacity admits them; on false the owner must rebuild
-// with a larger capacity.
-func (c *closure) grow(n int) bool {
-	if n > c.capN {
-		return false
-	}
-	for len(c.rows) < n {
-		c.rows = append(c.rows, nil)
-		c.out = append(c.out, nil)
-		c.in = append(c.in, nil)
-	}
-	c.n = n
-	return true
-}
-
 // row materializes u's row.
 func (c *closure) row(u int32) bitset.Set {
 	if c.rows[u] == nil {
-		c.rows[u] = bitset.New(c.capN)
+		c.rows[u] = bitset.New(c.n)
 	}
 	return c.rows[u]
 }
@@ -104,25 +79,11 @@ func (c *closure) reaches(u, v int32) bool {
 	return r != nil && r.Has(v)
 }
 
-// bytes reports the closure's matrix footprint: every materialized row
-// holds Words(capN) packed words. This backs Report.ClosureBytes — the
-// quantity checkpointing keeps proportional to the live window.
-func (c *closure) bytes() int64 {
-	rows := int64(0)
-	for _, r := range c.rows {
-		if r != nil {
-			rows++
-		}
-	}
-	return rows * int64(bitset.Words(c.capN)) * 8
-}
-
 // addArc records the edge in the adjacency lists without propagating
 // reachability; used to stage edges before a full build.
 func (c *closure) addArc(u, v int32) {
 	c.out[u] = append(c.out[u], v)
 	c.in[v] = append(c.in[v], u)
-	c.edges++
 }
 
 // build computes every row from the staged adjacency. order must be a
@@ -374,10 +335,9 @@ type resolveResult struct {
 // of that few sources is near-free), while a larger batch costs a real
 // closure rebuild and is only worth it early — the batch path allows two
 // such rebuilds and then only while the previous pass discharged at least
-// 1/resolveGainFloor of the constraints; the warm path defers the batch
-// to the next audit's fold instead (see resolveWarm). Constraints still
-// live at the stop simply go to the solver — the pass is an optimization,
-// never load-bearing.
+// 1/resolveGainFloor of the constraints. Constraints still live at the
+// stop simply go to the solver — the pass is an optimization, never
+// load-bearing.
 const (
 	maxResolvePasses  = 64
 	resolveGainFloor  = 50 // reciprocal: a pass must discharge >= 2% to justify a rebuild
@@ -395,10 +355,10 @@ const (
 // proceeds exactly as before the pass existed.
 func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, out [][]int32, order []int32, workers int) *resolveResult {
 	n := int(pg.NumNodes)
-	if !closureFeasible(n, n) {
+	if !closureFeasible(n) {
 		return nil
 	}
-	cl := newClosure(n, n)
+	cl := newClosure(n)
 	// Adopt the caller's adjacency: build needs in-lists too.
 	cl.out = out
 	for u := int32(0); u < int32(n); u++ {
@@ -406,7 +366,6 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 			cl.in[v] = append(cl.in[v], u)
 		}
 	}
-	cl.edges = len(pg.Known)
 	cl.build(order, workers)
 
 	res := &resolveResult{}
@@ -581,214 +540,17 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 	return res
 }
 
-// Warm-path resolution states of a consState. Forced states are permanent:
-// the other side closes a cycle against the constant closure, and
-// constants only accrue, so the forced side's edges (present and future)
-// are consequences and enter the theory as constants. Implied states are
-// provisional: the discharged side's edges are all implied by constant
-// paths *today*, but the side lists grow across audits, so each audit
-// revalidates and reverts the state if a non-implied edge arrived.
-const (
-	consLive uint8 = iota
-	consForcedFirst
-	consForcedSecond
-	consImpliedFirst
-	consImpliedSecond
-)
-
-// resolveWarm runs the sound resolution fixpoint against the warm
-// session's persistent solver, theory, and closure. It revalidates
-// carried-over discharges (forced sides may have grown new edges that must
-// become constants; implied sides may have grown edges that void the
-// discharge), then sweeps the live constraints to a fixpoint. Returns a
-// known-edge cycle witness when resolution proves the history rejected
-// (a constraint with both sides dead, or a forced edge closing a constant
-// cycle); nil otherwise.
-func resolveWarm(w *warmState, workers int) []KnownEdge {
-	cl := w.cl
-	var witness []KnownEdge
-
-	// Forced edges stage into the adjacency and the theory immediately;
-	// the closure rows catch up lazily. Small staged batches fold mid-audit
-	// with a refresh (the theory's Pearce–Kelly order is the topological
-	// order); large batches are deferred — their sources carry over in
-	// clPending and the next audit's single fold absorbs them, so one big
-	// forcing cascade never costs more than one closure build per audit.
-	// Until a fold the rows under-approximate the staged graph — sound
-	// everywhere they are read, and InsertConstantPath detects exactly the
-	// cycles the stale rows might miss.
-	staged := 0
-	var stagedSrcs []int32
-	defer func() {
-		if staged > 0 {
-			w.clPending = append(w.clPending, stagedSrcs...)
-		}
-	}()
-	rebuild := func() {
-		order := make([]int32, cl.n)
-		for i := int32(0); i < int32(cl.n); i++ {
-			order[w.th.Order(i)] = i
-		}
-		if !cl.refresh(order, stagedSrcs) {
-			cl.build(order, workers)
-		}
-		staged = 0
-		stagedSrcs = stagedSrcs[:0]
-	}
-
-	dead := func(side []sideEdge) *Edge {
-		for i := range side {
-			e := side[i].e
-			if cl.reaches(e.To, e.From) {
-				return &side[i].e
-			}
-		}
-		return nil
-	}
-	allImplied := func(side []sideEdge) bool {
-		for i := range side {
-			e := side[i].e
-			if !cl.reaches(e.From, e.To) {
-				return false
-			}
-		}
-		return true
-	}
-	conflict := func(e Edge, kind EdgeKind, key history.Key) {
-		witness = cycleEvidence(cl.path(e.To, e.From), KnownEdge{Edge: e, Kind: kind, Key: key}, w.kinds)
-	}
-	// forceSide turns a side's not-yet-implied edges into theory constants,
-	// staging each into the closure adjacency. Safe to re-run on a grown
-	// side: already-constant edges are skipped via kinds.
-	forceSide := func(side []sideEdge, kind EdgeKind, key history.Key) bool {
-		for i := range side {
-			e := side[i].e
-			if _, seen := w.kinds[e]; seen || e.From == e.To {
-				continue
-			}
-			if cl.reaches(e.From, e.To) {
-				continue // implied by constants — holds for free
-			}
-			if cl.reaches(e.To, e.From) {
-				conflict(e, kind, key)
-				return false
-			}
-			path, ok := w.th.InsertConstantPath(e.From, e.To)
-			if !ok {
-				witness = cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, w.kinds)
-				return false
-			}
-			w.kinds[e] = KnownEdge{Edge: e, Kind: kind, Key: key}
-			cl.addArc(e.From, e.To)
-			stagedSrcs = append(stagedSrcs, e.From)
-			staged++
-			w.forcedEdges++
-		}
-		return true
-	}
-
-	// Revalidate discharges carried over from earlier audits.
-	for _, st := range w.consList {
-		switch st.resolved {
-		case consForcedFirst:
-			if !forceSide(st.first, st.kind1, st.key) {
-				return witness
-			}
-		case consForcedSecond:
-			if !forceSide(st.second, st.kind2, st.key) {
-				return witness
-			}
-		case consImpliedFirst:
-			if !allImplied(st.first) {
-				st.resolved = consLive
-				w.resolved--
-			}
-		case consImpliedSecond:
-			if !allImplied(st.second) {
-				st.resolved = consLive
-				w.resolved--
-			}
+// cycleEvidence renders a must-hold cycle — node path v..u plus the
+// closing edge u→v — with each edge's provenance.
+func cycleEvidence(path []int32, closing KnownEdge, kinds map[Edge]KnownEdge) []KnownEdge {
+	out := make([]KnownEdge, 0, len(path))
+	for i := 0; i+1 < len(path); i++ {
+		e := Edge{path[i], path[i+1]}
+		if ke, ok := kinds[e]; ok {
+			out = append(out, ke)
+		} else {
+			out = append(out, KnownEdge{Edge: e})
 		}
 	}
-
-	// Fixpoint sweep: scan the live constraints; forcing extends
-	// reachability, which can make other constraints resolvable, so passes
-	// repeat until one stages nothing and discharges nothing. Cascades
-	// small enough for a cheap refresh fold mid-audit and keep the loop
-	// going; a large cascade ends the audit's fixpoint instead — its arcs
-	// carry over in clPending, the constraints it would have discharged go
-	// to the solver once, and the next audit's fold picks the cascade up.
-	// That bounds resolution at one closure build per audit no matter how
-	// deep the forcing runs.
-	for pass := 0; pass < maxResolvePasses; pass++ {
-		if staged > 0 {
-			if staged > resolveCheapBatch {
-				return nil // deferred: the exit hook carries stagedSrcs over
-			}
-			rebuild()
-		}
-		progress := false
-		for _, st := range w.consList {
-			if st.resolved != consLive {
-				continue
-			}
-			fDead, sDead := dead(st.first), dead(st.second)
-			switch {
-			case fDead != nil && sDead != nil:
-				conflict(*fDead, st.kind1, st.key)
-				return witness
-			case fDead != nil:
-				st.resolved = consForcedSecond
-				w.resolved++
-				progress = true
-				if st.encoded {
-					// ¬sel is a consequence (sel would force the dead side);
-					// a permanent unit clause, unlike the implied states'
-					// revocable assumptions.
-					w.s.AddClause(sat.NegLit(st.sel))
-				}
-				if !forceSide(st.second, st.kind2, st.key) {
-					return witness
-				}
-			case sDead != nil:
-				st.resolved = consForcedFirst
-				w.resolved++
-				progress = true
-				if st.encoded {
-					w.s.AddClause(sat.PosLit(st.sel))
-				}
-				if !forceSide(st.first, st.kind1, st.key) {
-					return witness
-				}
-			case allImplied(st.first):
-				st.resolved = consImpliedFirst
-				w.resolved++
-				progress = true
-			case allImplied(st.second):
-				st.resolved = consImpliedSecond
-				w.resolved++
-				progress = true
-			}
-		}
-		if !progress {
-			return nil
-		}
-	}
-	return nil // pass cap: the deferred clDirty has the next audit rebuild
-}
-
-// sortedEdgeList returns the kinds map's edges sorted by (From, To) — a
-// deterministic edge enumeration for warm closure rebuilds.
-func sortedEdgeList(kinds map[Edge]KnownEdge) []Edge {
-	edges := make([]Edge, 0, len(kinds))
-	for e := range kinds {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	return edges
+	return append(out, closing)
 }

@@ -152,7 +152,7 @@ func TestResolveDifferentialFuzz(t *testing.T) {
 }
 
 // TestResolveDifferentialIncremental streams a history that turns bad
-// mid-stream through two warm sessions (resolve on / off) and checks the
+// mid-stream through two sessions (resolve on / off) and checks the
 // verdicts agree at every audit.
 func TestResolveDifferentialIncremental(t *testing.T) {
 	bad := anomaly.Inject(histgen.SI(histgen.Spec{Txns: 300, Keys: 6, MaxConcurrency: 5, Seed: 11}), anomaly.LostUpdate)
@@ -229,7 +229,7 @@ func TestResolveCycleWitness(t *testing.T) {
 // lower to higher ids, so identity order is topological) and returns the
 // staged edge list.
 func randomDAGClosure(rng *rand.Rand, n, edges int) (*closure, [][2]int32) {
-	cl := newClosure(n, n)
+	cl := newClosure(n)
 	var es [][2]int32
 	for len(es) < edges {
 		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
@@ -331,7 +331,7 @@ func TestClosureRefreshMatchesRebuild(t *testing.T) {
 // cyclic stagings and that findCycle then returns a genuine simple cycle
 // of staged arcs.
 func TestClosureTopoOrderFindCycle(t *testing.T) {
-	cl := newClosure(6, 6)
+	cl := newClosure(6)
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}} {
 		cl.addArc(e[0], e[1])
 	}
@@ -364,31 +364,5 @@ func TestClosureTopoOrderFindCycle(t *testing.T) {
 		if !has(u, v) {
 			t.Fatalf("cycle step %d→%d is not a staged arc (%v)", u, v, cyc)
 		}
-	}
-}
-
-// TestClosureGrow checks capacity-bounded growth: rows keep their bits,
-// new nodes start empty, and overflow is reported rather than resized.
-func TestClosureGrow(t *testing.T) {
-	cl := newClosure(4, 8)
-	cl.addArc(0, 1)
-	cl.addArc(1, 2)
-	cl.build(identityOrder(4), 1)
-	if !cl.grow(6) {
-		t.Fatal("grow within capacity failed")
-	}
-	if !cl.reaches(0, 2) || cl.reaches(3, 0) || cl.reaches(4, 5) {
-		t.Fatal("grow corrupted rows")
-	}
-	cl.addArc(4, 5)
-	order := identityOrder(6)
-	if !cl.refresh(order, []int32{4}) {
-		t.Fatal("refresh after grow declined unexpectedly")
-	}
-	if !cl.reaches(4, 5) || !cl.reaches(0, 2) {
-		t.Fatal("refresh after grow lost reachability")
-	}
-	if cl.grow(9) {
-		t.Fatal("grow past capacity succeeded")
 	}
 }

@@ -24,17 +24,11 @@
 //     the constants were assumptions — so the checker falls back to a
 //     full check with the fast path disabled. Rejections therefore never
 //     rest on timestamps.
-//
-// The incremental Checker threads the same classification through its
-// warm solver as per-audit assumption literals, maintaining the event
-// order across appends and falling back to a full re-sort on
-// non-monotonic ingest (see incremental.go).
 package core
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"viper/internal/acyclic"
@@ -185,201 +179,4 @@ func (pg *Polygraph) checkTSResidue(ctx context.Context, opts Options, rep *Repo
 	fb.Phases.Solve += rep.Phases.Solve
 	fb.Retries += rep.Retries + 1
 	return fb
-}
-
-// ---- Warm-path helpers (incremental.go) ----------------------------------
-
-// tsWarm is one audit's view of the timestamp order for the warm solver:
-// a raw-timestamp oracle over event nodes (no materialized positions —
-// classification needs only the drift relation).
-type tsWarm struct {
-	h     *history.History
-	ser   bool
-	drift int64
-}
-
-// nodeTS returns an event node's timestamp under the session's node
-// mapping (matching Polygraph.initNodeTS: one node per transaction,
-// stamped with CommitAt, for Serializability; begin/commit pairs
-// otherwise).
-func (tw *tsWarm) nodeTS(n int32) int64 {
-	if tw.ser {
-		return tw.h.Txns[n].CommitAt
-	}
-	t := tw.h.Txns[n/2]
-	if n&1 == 0 {
-		return t.BeginAt
-	}
-	return t.CommitAt
-}
-
-func (tw *tsWarm) implies(u, v int32) bool { return tw.nodeTS(v)-tw.nodeTS(u) > tw.drift }
-
-func (tw *tsWarm) settled(side []sideEdge) bool {
-	for i := range side {
-		if !tw.implies(side[i].e.From, side[i].e.To) {
-			return false
-		}
-	}
-	return true
-}
-
-// choose classifies one warm constraint: ok means the timestamps decided
-// it, and first selects the side.
-func (tw *tsWarm) choose(st *consState) (first, ok bool) {
-	f, s := tw.settled(st.first), tw.settled(st.second)
-	return f, f != s
-}
-
-// tsChoiceNone/First/Second encode a per-audit constraint decision.
-const (
-	tsChoiceNone = iota
-	tsChoiceFirst
-	tsChoiceSecond
-)
-
-// updateTS folds newly appended transactions into the session's
-// timestamp state: the usability verdict (terminal — an unusable stamp
-// never leaves the history, so there is no way back once one arrives)
-// and the maintained event order. A committed transaction whose stamps
-// extend the order monotonically appends in place; out-of-order ingest
-// marks the order dirty and the next audit rebuilds it cold
-// (rebuildTSOrder). The append path reproduces the rebuild's (timestamp,
-// node id) sort exactly: appended nodes carry both larger stamps and
-// larger ids than everything already ordered.
-func (inc *Incremental) updateTS(newTxns []*history.Txn) {
-	if inc.tsReason != "" {
-		return
-	}
-	if !inc.tsDirty && len(inc.tsOrder) == 0 {
-		// Seed genesis: both its stamps are zero, so it sorts first.
-		if inc.ser() {
-			inc.tsOrder = append(inc.tsOrder, 0)
-		} else {
-			inc.tsOrder = append(inc.tsOrder, 0, 1)
-		}
-	}
-	for _, t := range newTxns {
-		if !t.Committed() {
-			continue
-		}
-		switch {
-		case t.BeginAt <= 0 || t.CommitAt <= 0:
-			inc.tsReason = fmt.Sprintf("txn %d carries absent or zero timestamps", t.ID)
-		case t.CommitAt < t.BeginAt:
-			inc.tsReason = fmt.Sprintf("txn %d commits before it begins (begin %d, commit %d)", t.ID, t.BeginAt, t.CommitAt)
-		}
-		if inc.tsReason != "" {
-			inc.tsOrder, inc.tsDirty = nil, false
-			return
-		}
-		if inc.tsDirty {
-			continue // a rebuild is already owed
-		}
-		low := t.BeginAt
-		if inc.ser() {
-			low = t.CommitAt
-		}
-		if low < inc.tsHigh {
-			inc.tsDirty = true
-			continue
-		}
-		if inc.ser() {
-			inc.tsOrder = append(inc.tsOrder, int32(t.ID))
-		} else {
-			inc.tsOrder = append(inc.tsOrder, int32(t.ID)*2, int32(t.ID)*2+1)
-		}
-		inc.tsHigh = t.CommitAt
-	}
-}
-
-// constantsForward reports whether every constant edge runs forward in
-// pos; a position of -1 marks a node outside the timestamp order and
-// fails the check. With every constant forward, every closure path over
-// constants is forward too, so resolution-implied constraint sides need
-// no separate check.
-func constantsForward(kinds map[Edge]KnownEdge, pos []int32) bool {
-	for e := range kinds {
-		if pos[e.From] < 0 || pos[e.From] >= pos[e.To] {
-			return false
-		}
-	}
-	return true
-}
-
-// rebuildTSOrder re-sorts the session's committed event nodes by
-// (timestamp, node id) from scratch — the cold fallback after
-// non-monotonic ingest, and the initial build. Genesis sorts first (its
-// stamps are zero and usable histories carry positive stamps).
-func (inc *Incremental) rebuildTSOrder() {
-	type ev struct {
-		ts   int64
-		node int32
-	}
-	var evs []ev
-	for _, t := range inc.h.Txns {
-		if !t.Committed() {
-			continue
-		}
-		if inc.ser() {
-			evs = append(evs, ev{t.CommitAt, int32(t.ID)})
-			continue
-		}
-		evs = append(evs, ev{t.BeginAt, int32(t.ID) * 2}, ev{t.CommitAt, int32(t.ID)*2 + 1})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].ts != evs[j].ts {
-			return evs[i].ts < evs[j].ts
-		}
-		return evs[i].node < evs[j].node
-	})
-	inc.tsOrder = inc.tsOrder[:0]
-	for _, e := range evs {
-		inc.tsOrder = append(inc.tsOrder, e.node)
-	}
-	inc.tsHigh = 0
-	if len(evs) > 0 {
-		inc.tsHigh = evs[len(evs)-1].ts
-	}
-	inc.tsDirty = false
-}
-
-// tsWitness turns the maintained event order into witness positions:
-// ordered nodes first, every remaining node (aborted transactions'
-// events) after them. Aborted events carry no edges or constraints, so
-// any position is consistent.
-func (inc *Incremental) tsWitness(n int32) []int32 {
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	next := int32(0)
-	for _, nd := range inc.tsOrder {
-		if nd < n && pos[nd] == -1 {
-			pos[nd] = next
-			next++
-		}
-	}
-	for i := range pos {
-		if pos[i] == -1 {
-			pos[i] = next
-			next++
-		}
-	}
-	return pos
-}
-
-// tsOrderPositions maps the maintained order to per-node positions for
-// the constants-forward check; nodes outside the order get -1.
-func (inc *Incremental) tsOrderPositions(n int32) []int32 {
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, nd := range inc.tsOrder {
-		if nd < n {
-			pos[nd] = int32(i)
-		}
-	}
-	return pos
 }

@@ -115,11 +115,9 @@ func TestTSFastPathDifferentialFuzz(t *testing.T) {
 }
 
 // TestTSFastPathDifferentialIncremental streams a history that turns bad
-// mid-stream through two warm sessions (fast path on / off) and checks
-// the verdicts agree at every audit. The interleaved generation also
-// exercises the non-monotonic ingest path: concurrent transactions begin
-// before their predecessors commit, so the maintained order goes dirty
-// and is rebuilt cold each audit.
+// mid-stream through two sessions (fast path on / off) and checks the
+// verdicts agree at every audit. The interleaved generation appends
+// concurrent transactions that begin before their predecessors commit.
 func TestTSFastPathDifferentialIncremental(t *testing.T) {
 	bad := anomaly.Inject(histgen.SI(histgen.Spec{Txns: 300, Keys: 6, MaxConcurrency: 5, Seed: 13}), anomaly.LostUpdate)
 	if err := bad.Validate(); err != nil {
@@ -161,9 +159,8 @@ func TestTSFastPathDifferentialIncremental(t *testing.T) {
 }
 
 // TestTSFastPathIncrementalMonotone streams a serial history (appended in
-// timestamp order) through a warm session: the maintained order must stay
-// clean across audits — no cold rebuilds — and the audits accept with the
-// fast path deciding constraints.
+// timestamp order) through a session: every audit accepts with the fast
+// path deciding every constraint and the timestamps usable throughout.
 func TestTSFastPathIncrementalMonotone(t *testing.T) {
 	h := histgen.SI(histgen.Spec{Txns: 240, Keys: 5, MaxConcurrency: 1, Seed: 5})
 	inc := NewIncremental(Options{Level: AdyaSI, SelfCheck: true})
@@ -188,15 +185,15 @@ func TestTSFastPathIncrementalMonotone(t *testing.T) {
 		if !last.WitnessVerified {
 			t.Fatalf("audit at %d txns: witness failed self-check", hi)
 		}
-		if inc.tsDirty {
-			t.Fatalf("audit at %d txns: serial ingest dirtied the timestamp order", hi)
+		if last.TSResidual != 0 {
+			t.Fatalf("audit at %d txns: serial ingest left %d constraints undecided", hi, last.TSResidual)
 		}
-		if inc.tsReason != "" {
-			t.Fatalf("audit at %d txns: unusable: %s", hi, inc.tsReason)
+		if last.TSUnusable != "" {
+			t.Fatalf("audit at %d txns: unusable: %s", hi, last.TSUnusable)
 		}
 	}
 	if last.TSDecided == 0 {
-		t.Fatal("warm fast path never decided a constraint on a serial history")
+		t.Fatal("session fast path never decided a constraint on a serial history")
 	}
 }
 
@@ -228,8 +225,8 @@ func TestTSFastPathPureAccept(t *testing.T) {
 
 // TestTSFastPathUnusableMixed pins satellite 3: a history where only some
 // transactions carry timestamps must deterministically disable the fast
-// path and report why, in both the batch and the warm incremental paths —
-// never derive an order from zero-valued stamps.
+// path and report why, both in a one-shot check and across the audits of a
+// session — never derive an order from zero-valued stamps.
 func TestTSFastPathUnusableMixed(t *testing.T) {
 	mixed := func() []*history.Txn {
 		return []*history.Txn{
@@ -265,8 +262,8 @@ func TestTSFastPathUnusableMixed(t *testing.T) {
 		t.Fatal("DisableTSFastPath still probed timestamp usability")
 	}
 
-	// Warm incremental variant: the first (cold) audit reports it via the
-	// batch path, the second (warm) via the session's terminal tsReason.
+	// Session variant: both the first audit and a later one, after an
+	// append of a fully stamped transaction, report the unusable stamps.
 	inc := NewIncremental(Options{Level: AdyaSI})
 	for _, txn := range mixed() {
 		t2 := *txn
@@ -276,7 +273,7 @@ func TestTSFastPathUnusableMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep := inc.Audit(); rep.TSUnusable == "" {
-		t.Fatal("cold audit did not report unusable timestamps")
+		t.Fatal("first audit did not report unusable timestamps")
 	}
 	inc.Append(&history.Txn{Session: 3, BeginAt: 7, CommitAt: 8,
 		Ops: []history.Op{{Kind: history.OpWrite, Key: "y", WriteID: 3}}})
@@ -285,10 +282,10 @@ func TestTSFastPathUnusableMixed(t *testing.T) {
 	}
 	rep2 := inc.Audit()
 	if rep2.TSUnusable == "" {
-		t.Fatal("warm audit did not report unusable timestamps")
+		t.Fatal("second audit did not report unusable timestamps")
 	}
 	if rep2.Outcome != Accept {
-		t.Fatalf("warm audit: %v, want Accept", rep2.Outcome)
+		t.Fatalf("second audit: %v, want Accept", rep2.Outcome)
 	}
 }
 

@@ -12,10 +12,8 @@ import (
 // Progress method, a CLI progress stream) never share mutable state with
 // the check itself.
 //
-// Counter semantics follow the Report fields they mirror: on a warm
-// incremental session the solver counters are cumulative across audits
-// (the solver lives across audits), while graph counts describe the
-// current audit.
+// Counter semantics follow the Report fields they mirror: every counter
+// describes the current check (one audit, on an incremental session).
 type Snapshot struct {
 	// Phase is the innermost phase at the time of the snapshot: one of
 	// "construct", "encode", "solve", or "done".
@@ -57,10 +55,11 @@ type Snapshot struct {
 	ReorderedNodes int64 `json:"reordered_nodes"`
 
 	// Session memory gauges (final snapshots only): the live window's
-	// estimated history footprint, the resolution closure's materialized
-	// rows, and the checkpoint certificate's count and size. These are
-	// what a checkpoint policy bounds; omitted from JSON while zero so
-	// unbounded sessions serialize as before.
+	// estimated history footprint and the checkpoint certificate's count
+	// and size. These are what a checkpoint policy bounds; omitted from
+	// JSON while zero so unbounded sessions serialize as before.
+	// ClosureBytes mirrors Report.ClosureBytes and so reads zero: no
+	// resolution closure outlives the check that built it.
 	HistoryBytes int64 `json:"history_bytes,omitempty"`
 	ClosureBytes int64 `json:"closure_bytes,omitempty"`
 	Checkpoints  int   `json:"checkpoints,omitempty"`

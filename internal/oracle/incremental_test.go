@@ -45,11 +45,9 @@ func checkCycleClosed(t *testing.T, rep *core.Report, ctx string) {
 }
 
 // compareCounters holds the incremental report to batch-report parity
-// contract: the first audit is cold and must reproduce every batch counter
-// verbatim (it runs the identical pipeline); later audits may legitimately
-// differ in solver-side counters (the warm solver is cumulative, pruning
-// radii differ) but must still agree on the graph shape and never report a
-// negative phase duration. ReadCommitted bypasses the polygraph machinery
+// contract: the first audit must reproduce every batch counter verbatim (it
+// runs the identical pipeline); later audits are held to the graph shape
+// and to non-negative phase durations. ReadCommitted bypasses the polygraph machinery
 // entirely and reports no counters.
 func compareCounters(t *testing.T, got, want *core.Report, firstAudit bool, ctx string, at int) {
 	t.Helper()
@@ -149,9 +147,9 @@ func auditPrefixes(t *testing.T, h *history.History, opts core.Options, batch in
 }
 
 // incrementalCombos is the option matrix for the incremental differential:
-// the warm-solver path (AdyaSI / Serializability with default solving),
-// its ablation variants, parallel regeneration, the always-cold real-time
-// levels, and the solver-free ReadCommitted path.
+// AdyaSI / Serializability with default solving, their ablation variants,
+// parallel regeneration, the real-time levels, and the solver-free
+// ReadCommitted path.
 func incrementalCombos() []core.Options {
 	return []core.Options{
 		{Level: core.AdyaSI, SelfCheck: true},

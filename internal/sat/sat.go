@@ -160,10 +160,8 @@ type Solver struct {
 	learntsAdjust float64
 	learntsCnt    float64
 
-	ok          bool
-	theory      Theory
-	assumptions []Lit
-	assumpFail  bool
+	ok     bool
+	theory Theory
 
 	deadline   time.Time
 	confBudget int64
@@ -242,16 +240,9 @@ func (s *Solver) SetRandomSeed(seed int64) {
 }
 
 // Interrupt makes a concurrently running Solve return Unknown at its next
-// budget check. Safe to call from another goroutine. The flag is sticky —
-// an Interrupt delivered between solves is seen by the next Solve — until
-// ClearInterrupt re-arms the instance.
+// budget check. Safe to call from another goroutine. The flag is sticky:
+// an Interrupt delivered before Solve starts is seen by that Solve.
 func (s *Solver) Interrupt() { s.stop.Store(true) }
-
-// ClearInterrupt resets a previous Interrupt so the instance can solve
-// again. Long-lived solvers (the warm incremental session) call this
-// before each solve: a cancellation that stopped one audit must not
-// condemn every later one.
-func (s *Solver) ClearInterrupt() { s.stop.Store(false) }
 
 // SetPhase sets the initial decision polarity of v: when the solver
 // branches on v it will first try the given value. Encodings use this to
@@ -297,7 +288,7 @@ func (s *Solver) ValueLit(l Lit) bool { return s.litValue(l) == lTrue }
 
 // AddClause adds a clause over the given literals. It returns false if the
 // formula became trivially unsatisfiable. Clauses may only be added at
-// decision level 0 (i.e. before or between Solve calls).
+// decision level 0 (i.e. before Solve).
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
@@ -725,30 +716,9 @@ func (s *Solver) search(maxConflicts int64) (Result, bool) {
 		if float64(len(s.learnts))-float64(len(s.trail)) >= s.maxLearnts {
 			s.reduceDB()
 		}
-		// Assert pending assumptions as the first decisions (MiniSAT style):
-		// one per level, re-asserted after every restart or backjump above
-		// them. An already-satisfied assumption opens a dummy level so
-		// decision levels stay aligned with assumption indices; a falsified
-		// one means the formula is unsatisfiable under the assumptions, not
-		// necessarily in itself.
-		next := LitUndef
-		for next == LitUndef && s.decisionLevel() < len(s.assumptions) {
-			p := s.assumptions[s.decisionLevel()]
-			switch s.litValue(p) {
-			case lTrue:
-				s.trailLim = append(s.trailLim, len(s.trail))
-			case lFalse:
-				s.assumpFail = true
-				return Unsat, true
-			default:
-				next = p
-			}
-		}
+		next := s.pickBranchLit()
 		if next == LitUndef {
-			next = s.pickBranchLit()
-			if next == LitUndef {
-				return Sat, true
-			}
+			return Sat, true
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, nil)
@@ -768,20 +738,8 @@ func (s *Solver) overBudget() bool {
 	return !s.deadline.IsZero() && time.Now().After(s.deadline)
 }
 
-// Relax backtracks to decision level 0, discarding the current model (if
-// any) but keeping learned clauses, variable activities, and saved phases.
-// It makes an instance that has already been solved accept further
-// AddClause/NewVar calls and another Solve — the incremental-solving mode
-// used by the session checker, which audits a growing formula repeatedly.
-// Clause addition is monotone, so a solver that has answered Unsat stays
-// permanently unsatisfiable; everything learned before a Sat answer
-// remains valid for later rounds.
-func (s *Solver) Relax() { s.cancelUntil(0) }
-
 // Solve runs the solver to completion (or budget exhaustion). After Solve
-// returns, the instance serves model queries (Value/ValueLit); to add
-// further clauses and re-solve, call Relax first (see Relax for the
-// incremental contract).
+// returns, the instance serves model queries (Value/ValueLit).
 func (s *Solver) Solve() Result {
 	if !s.ok {
 		return Unsat
@@ -804,9 +762,7 @@ func (s *Solver) Solve() Result {
 	for restarts := int64(1); ; restarts++ {
 		res, done := s.search(luby(restarts) * 100)
 		if done {
-			if res == Unsat && !s.assumpFail {
-				// Only an assumption-free refutation condemns the formula
-				// itself; Unsat under assumptions leaves it solvable.
+			if res == Unsat {
 				s.ok = false
 			}
 			return res
@@ -817,25 +773,3 @@ func (s *Solver) Solve() Result {
 		s.Stats.Restarts++
 	}
 }
-
-// SolveAssuming solves the formula under the given assumption literals,
-// asserted as the solver's first decisions. An Unsat answer means only
-// that the formula has no model extending the assumptions (check Okay to
-// tell the two apart): the instance stays usable — Relax and re-solve
-// with different (or no) assumptions. Learned clauses derived under
-// assumptions are consequences of the formula alone (assumptions enter
-// conflict analysis as decisions, never as resolution steps), so they
-// remain sound for later rounds. Sat and Unknown behave exactly as Solve.
-func (s *Solver) SolveAssuming(assumps ...Lit) Result {
-	s.assumptions = append(s.assumptions[:0], assumps...)
-	res := s.Solve()
-	s.assumptions = s.assumptions[:0]
-	s.assumpFail = false
-	return res
-}
-
-// Okay reports whether the formula itself is still possibly satisfiable.
-// It turns false permanently once an assumption-free refutation is found
-// (clause addition is monotone), and is the way to distinguish a real
-// Unsat from an assumptions-only Unsat after SolveAssuming.
-func (s *Solver) Okay() bool { return s.ok }

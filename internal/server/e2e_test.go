@@ -39,8 +39,7 @@ func docBytes(d *obs.ReportDoc) []byte {
 // audit mid-stream and again at completion, and the final verdict and
 // report must match the offline batch check of the same history —
 // byte-identical documents for the completed single-audit sessions,
-// verdict-identical for the sessions that also audited mid-stream (warm
-// re-audits carry cumulative solver counters by design).
+// verdict-identical for the sessions that also audited mid-stream.
 func TestE2EConcurrentSessions(t *testing.T) {
 	srv, cl := start(t, Config{Workers: 4, QueueDepth: 64})
 	ctx := context.Background()

@@ -63,15 +63,6 @@ type session struct {
 	certBytes   atomic.Int64
 	complete    atomic.Bool
 	lastUsed    atomic.Int64 // unix nanos of the last client operation
-
-	// High-water marks of the warm checker's cumulative resolution
-	// counters, so /metrics can accumulate per-audit deltas across
-	// sessions without double-counting the session-lifetime totals.
-	resolvedSeen atomic.Int64
-	forcedSeen   atomic.Int64
-	// Same pattern for the timestamp fast path's cumulative counters.
-	tsDecidedSeen  atomic.Int64
-	tsResidualSeen atomic.Int64
 }
 
 func newSession(id string, opts core.Options, maxOps int, policy viper.CheckpointPolicy) *session {
@@ -205,9 +196,10 @@ func (sess *session) audit(ctx context.Context) (*viper.Result, *obs.ReportDoc) 
 // auditMatrix runs one verdict-matrix audit under ctx and assembles the
 // matrix report document — the same document `viper -matrix` emits for
 // the same history, via the shared core.BuildMatrixDoc. The matrix
-// session's warm state (see viper.Checker.AuditMatrix) persists across
-// requests, so repeated ?matrix=1 audits of a growing session cost
-// roughly the delta. Callers hold sess.mu and the admission gate.
+// session's construction records (see viper.Checker.AuditMatrix) persist
+// across requests, so repeated ?matrix=1 audits of a growing session only
+// rebuild the keys the delta touched. Callers hold sess.mu and the
+// admission gate.
 func (sess *session) auditMatrix(ctx context.Context) (*viper.MatrixResult, *obs.ReportDoc) {
 	res := sess.checker.AuditMatrixContext(ctx)
 	h := sess.checker.History()

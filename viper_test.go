@@ -98,7 +98,7 @@ func TestLevelsRoundTrip(t *testing.T) {
 }
 
 // TestAuditMatrixIncrementalDifferential pins the facade contract: after
-// every append batch, Checker.AuditMatrix (warm matrix session) returns
+// every append batch, Checker.AuditMatrix (the matrix session) returns
 // exactly the per-level outcomes of a one-shot CheckMatrix over a
 // snapshot of the same transactions.
 func TestAuditMatrixIncrementalDifferential(t *testing.T) {
@@ -117,12 +117,12 @@ func TestAuditMatrixIncrementalDifferential(t *testing.T) {
 		got := c.AuditMatrix()
 		want := CheckMatrix(c.History(), Options{})
 		if got.Outcome != want.Outcome || got.Matrix == nil || want.Matrix == nil {
-			t.Fatalf("after %d txns: warm %v, one-shot %v", c.Len(), got.Outcome, want.Outcome)
+			t.Fatalf("after %d txns: session %v, one-shot %v", c.Len(), got.Outcome, want.Outcome)
 		}
 		for _, l := range MatrixLevels {
 			gv, wv := got.Matrix.Verdict(l), want.Matrix.Verdict(l)
 			if gv.Outcome != wv.Outcome {
-				t.Fatalf("after %d txns, %v: warm %v, one-shot %v", c.Len(), l, gv.Outcome, wv.Outcome)
+				t.Fatalf("after %d txns, %v: session %v, one-shot %v", c.Len(), l, gv.Outcome, wv.Outcome)
 			}
 		}
 	}
@@ -151,11 +151,11 @@ func TestAuditMatrixAfterCheckpoint(t *testing.T) {
 	got := c.AuditMatrix()
 	want := CheckMatrix(c.History(), Options{})
 	if got.Outcome != Accept || want.Outcome != Accept {
-		t.Fatalf("post-checkpoint: warm %v, one-shot %v", got.Outcome, want.Outcome)
+		t.Fatalf("post-checkpoint: session %v, one-shot %v", got.Outcome, want.Outcome)
 	}
 	for _, l := range MatrixLevels {
 		if g, w := got.Matrix.Verdict(l).Outcome, want.Matrix.Verdict(l).Outcome; g != w {
-			t.Fatalf("post-checkpoint %v: warm %v, one-shot %v", l, g, w)
+			t.Fatalf("post-checkpoint %v: session %v, one-shot %v", l, g, w)
 		}
 	}
 }
