@@ -337,8 +337,8 @@ func BenchmarkPolygraphBuild(b *testing.B) {
 }
 
 // BenchmarkPolygraphBuildAllocs tracks construction's allocation profile
-// (the writersByKey / collectReads index-building paths); regressions here
-// show up as allocs/op long before they move wall time.
+// at one worker (the read index, the per-key records and the replay);
+// regressions here show up as allocs/op long before they move wall time.
 func BenchmarkPolygraphBuildAllocs(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 1000, 24)
 	b.ReportAllocs()
@@ -381,7 +381,7 @@ func BenchmarkResolveAblation(b *testing.B) {
 
 // BenchmarkPolygraphBuildParallel measures sharded construction on the
 // constraint-heaviest workload at paper scale (BlindW-RW, 5000 txns);
-// workers=1 is the serial baseline the speedup is read against.
+// workers=1 is the one-worker baseline the speedup is read against.
 func BenchmarkPolygraphBuildParallel(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 5000, 24)
 	for _, workers := range []int{1, 2, 4, 8} {

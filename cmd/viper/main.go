@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noCoalesce  = fs.Bool("no-coalesce", false, "disable coalescing constraints")
 		initialK    = fs.Int("k", 0, "initial heuristic pruning distance (0 = default)")
 		lazy        = fs.Bool("lazy-theory", false, "use lazy (full-assignment) acyclicity checking")
-		parallel    = fs.Int("parallel", 0, "polygraph construction workers (0 = GOMAXPROCS, 1 = serial)")
+		parallel    = fs.Int("parallel", 0, "polygraph construction workers (0 = GOMAXPROCS, 1 = one worker)")
 		portfolio   = fs.Int("portfolio", 0, "differently-seeded solver instances raced per attempt (<= 1 = single solver)")
 		verbose     = fs.Bool("v", false, "print detailed statistics")
 		dotPath     = fs.String("dot", "", "write the BC-polygraph (with any counterexample cycle highlighted) as Graphviz DOT to this path")
@@ -203,20 +203,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			construct += fmt.Sprintf(" (cpu %.3fs, %d workers)",
 				rep.Phases.ConstructCPU.Seconds(), rep.ConstructWorkers)
 		}
-		fmt.Fprintf(stdout, "time: parse %.3fs, %s, encode %.3fs, resolve %.3fs, solve %.3fs\n",
-			parse.Seconds(), construct, rep.Phases.Encode.Seconds(),
+		fmt.Fprintf(stdout, "time: parse %.3fs, %s, ts-order %.3fs, encode %.3fs, resolve %.3fs, solve %.3fs\n",
+			parse.Seconds(), construct, rep.Phases.TSOrder.Seconds(), rep.Phases.Encode.Seconds(),
 			rep.Phases.Resolve.Seconds(), rep.Phases.Solve.Seconds())
 	}
 
 	if *verbose && !quiet {
 		fmt.Fprintf(stdout, "polygraph: %d nodes, %d known edges, %d constraints\n",
 			rep.Nodes, rep.KnownEdges, rep.Constraints)
-		pg := core.Build(h, opts)
-		st := pg.Stats()
+		k := rep.KnownByKind
 		fmt.Fprintf(stdout, "known edges: intra=%d wr=%d ww=%d rw=%d session=%d real-time=%d\n",
-			st.EdgesByKind[core.EdgeIntra], st.EdgesByKind[core.EdgeWR],
-			st.EdgesByKind[core.EdgeWW], st.EdgesByKind[core.EdgeRW],
-			st.EdgesByKind[core.EdgeSession], st.EdgesByKind[core.EdgeRealTime])
+			k[core.EdgeIntra], k[core.EdgeWR], k[core.EdgeWW], k[core.EdgeRW],
+			k[core.EdgeSession], k[core.EdgeRealTime])
 		fmt.Fprintf(stdout, "resolve: %d constraints resolved, %d edges forced\n",
 			rep.ResolvedConstraints, rep.ForcedEdges)
 		if rep.TSUnusable != "" {

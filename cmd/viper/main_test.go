@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"viper/internal/anomaly"
+	"viper/internal/core"
 	"viper/internal/histio"
 	"viper/internal/history"
 )
@@ -32,14 +34,26 @@ func writeSample(t *testing.T, mutate func(h *history.History)) string {
 
 func TestRunAccept(t *testing.T) {
 	path := writeSample(t, nil)
-	var out, errb bytes.Buffer
-	code := run([]string{"-v", path}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	h, err := loadHistory(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"verdict: accept", "polygraph:", "solver:"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, out.String())
+	for _, level := range []core.Level{core.AdyaSI, core.StrongSessionSI} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-v", "-level", level.String(), path}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", level, code, errb.String())
+		}
+		// -v reports the checked polygraph's edge kinds without building a
+		// second one; the counts must still be Build's.
+		k := core.Build(h, core.Options{Level: level}).Stats().EdgesByKind
+		kinds := fmt.Sprintf("known edges: intra=%d wr=%d ww=%d rw=%d session=%d real-time=%d\n",
+			k[core.EdgeIntra], k[core.EdgeWR], k[core.EdgeWW], k[core.EdgeRW],
+			k[core.EdgeSession], k[core.EdgeRealTime])
+		for _, want := range []string{"verdict: accept", "polygraph:", kinds, "solver:", "ts-order "} {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("%v: output missing %q:\n%s", level, want, out.String())
+			}
 		}
 	}
 }

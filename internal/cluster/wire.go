@@ -565,6 +565,17 @@ func decodeDigest(r *bufio.Reader, keys []history.Key, onRecord func(i int, rec 
 	return node, d.err
 }
 
+// edgeKind reads an edge kind, refusing any byte past the last kind a
+// polygraph holds: the replay counts known edges in an array indexed by
+// kind.
+func (d *wireDec) edgeKind() core.EdgeKind {
+	k := core.EdgeKind(d.byte1())
+	if d.err == nil && k > core.EdgeRealTime {
+		d.fail("wire: digest op has unknown edge kind %d", k)
+	}
+	return k
+}
+
 func (d *wireDec) readRecord(key history.Key) *core.KeyRecord {
 	rec := &core.KeyRecord{Key: key}
 	var prev int64
@@ -607,7 +618,7 @@ func (d *wireDec) readRecord(key history.Key) *core.KeyRecord {
 			Cons: flags&1 != 0,
 			FBad: flags&2 != 0,
 			SBad: flags&4 != 0,
-			Kind: core.EdgeKind(d.byte1()),
+			Kind: d.edgeKind(),
 		}
 		if !op.Cons {
 			if n := d.count("edge"); d.err == nil && n != 2 {
@@ -615,7 +626,7 @@ func (d *wireDec) readRecord(key history.Key) *core.KeyRecord {
 			}
 			op.Edge = edge()
 		} else {
-			op.Kind2 = core.EdgeKind(d.byte1())
+			op.Kind2 = d.edgeKind()
 			op.First = edges("first side")
 			op.Second = edges("second side")
 		}

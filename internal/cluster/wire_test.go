@@ -117,7 +117,7 @@ func encodeDigest(tb testing.TB, recs []*core.KeyRecord) []byte {
 // malformed in a way an honest worker never sends. Each maps to the
 // error text that must stop it: the merger refuses node ids outside the
 // polygraph, the decoder refuses edge runs that are not [from, to]
-// pairs.
+// pairs and edge kinds no polygraph holds.
 func hostileDigests(tb testing.TB, recs []*core.KeyRecord) map[string]struct {
 	digest []byte
 	want   string
@@ -174,6 +174,26 @@ func hostileDigests(tb testing.TB, recs []*core.KeyRecord) map[string]struct {
 			e.svarint(-3)
 			e.svarint(3)
 		}), "odd node-id count"},
+		"bad-edge-kind": {raw(func(e *wireEnc) {
+			e.uvarint(0)
+			e.uvarint(1)
+			e.byte1(0) // a known edge
+			e.byte1(byte(core.EdgeHeuristic) + 1)
+			e.uvarint(2)
+			e.svarint(2)
+			e.svarint(1)
+		}), "unknown edge kind 7"},
+		"bad-second-kind": {raw(func(e *wireEnc) {
+			e.uvarint(0)
+			e.uvarint(1)
+			e.byte1(1 | 2) // a constraint whose first side is bad
+			e.byte1(byte(core.EdgeWW))
+			e.byte1(255)
+			e.uvarint(0)
+			e.uvarint(2)
+			e.svarint(2)
+			e.svarint(1)
+		}), "unknown edge kind 255"},
 		"unknown-op-flag": {raw(func(e *wireEnc) {
 			e.uvarint(0)
 			e.uvarint(1)
@@ -188,7 +208,7 @@ func hostileDigests(tb testing.TB, recs []*core.KeyRecord) map[string]struct {
 
 // TestHostileDigestRejected: a digest naming a node outside the
 // polygraph, carrying edge runs that are not [from, to] pairs, or setting
-// an op flag the format does not define, is an error before it reaches
+// an op flag or edge kind the format does not define, is an error before it reaches
 // the solver, so the dispatch retries or falls
 // back instead of the solver indexing past its nodes or replaying a
 // dropped or 0→0 edge.

@@ -98,7 +98,8 @@ type Report struct {
 	// Graph statistics.
 	Nodes       int
 	KnownEdges  int
-	Constraints int // constraints in the polygraph (before pruning)
+	KnownByKind [EdgeHeuristic + 1]int // KnownEdges by EdgeKind
+	Constraints int                    // constraints in the polygraph (before pruning)
 
 	// ConstructWorkers is the worker count used for polygraph
 	// construction (see Options.Parallelism).
@@ -232,9 +233,7 @@ func CheckHistoryContext(ctx context.Context, h *history.History, opts Options) 
 	}
 	// One-shot checking is a single-audit incremental session: every audit
 	// assembles the full polygraph and runs the batch check on it.
-	inc := NewIncremental(opts)
-	inc.h = h
-	return inc.AuditContext(ctx)
+	return newIncremental(opts, h).AuditContext(ctx)
 }
 
 // solveDeadline merges the Options.Timeout budget with ctx's deadline:
@@ -284,6 +283,7 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 		Level:       pg.Level,
 		Nodes:       int(pg.NumNodes),
 		KnownEdges:  len(pg.Known),
+		KnownByKind: pg.knownByKind,
 		Constraints: len(pg.Cons),
 	}
 	// A context that is already done stops the check before any stage —

@@ -104,7 +104,7 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 	if inc.lastAccept == nil || inc.lastAccept.WitnessPositions == nil {
 		return 0, errors.New("checkpoint: requires an accepting audit of the current history")
 	}
-	if inc.indexed != len(inc.h.Txns) {
+	if inc.ix.indexed != len(inc.h.Txns) {
 		return 0, errors.New("checkpoint: transactions appended since the last audit")
 	}
 	if keep < 0 {
@@ -140,18 +140,9 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 		return 0, fmt.Errorf("checkpoint: compacted window failed validation (checkpoint bug): %w", err)
 	}
 
-	// Swap the history in and drop every derived structure: indexes and
-	// records are rebuilt over the small window by the next audit's update
-	// and regen passes.
-	inc.h = nh
-	inc.indexed = 1
-	inc.g1bHigh = 1
-	inc.readers = make(map[history.Key]map[history.TxnID][]history.TxnID)
-	inc.writers = make(map[history.Key][]history.TxnID)
-	inc.knownKeys = make(map[history.Key]bool)
-	inc.ranges = nil
-	inc.dirty = make(map[history.Key]bool)
-	inc.records = make(map[history.Key]*KeyRecord)
+	// Swap the history in and drop every derived structure: the index and
+	// records are rebuilt over the small window by the next audit.
+	inc.reset(nh)
 	inc.liveOps = liveOps
 	inc.lastAccept = nil
 	return F - 1, nil
@@ -200,7 +191,7 @@ func (inc *Incremental) shrinkFence(F int) int {
 		// un-fence when a kept observation needs the key unfenced entirely).
 		latest := make(map[history.Key]history.TxnID)
 		earliest := make(map[history.Key]history.TxnID)
-		for key, ws := range inc.writers {
+		for key, ws := range inc.ix.writers {
 			for _, w := range ws {
 				if int(w) >= F {
 					break // writer lists are in ascending id order
@@ -218,7 +209,7 @@ func (inc *Incremental) shrinkFence(F int) int {
 		// become live, so j's version is the key's final pre-fence state.
 		unfence := func(key history.Key, j history.TxnID) {
 			jp := inc.commitPos(j)
-			for _, w := range inc.writers[key] {
+			for _, w := range inc.ix.writers[key] {
 				if int(w) >= F {
 					break
 				}
@@ -363,7 +354,7 @@ func (inc *Incremental) buildFence(F int) *history.Fence {
 
 	// The newly fenced latest version per key, by witness commit position.
 	latest := make(map[history.Key]history.TxnID)
-	for key, ws := range inc.writers {
+	for key, ws := range inc.ix.writers {
 		for _, w := range ws {
 			if int(w) >= F {
 				break

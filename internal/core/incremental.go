@@ -2,10 +2,9 @@
 // BC-polygraph construction state as transactions arrive, instead of
 // rebuilding the polygraph from genesis at every audit.
 //
-// The readers index, the per-key writer lists, and the per-key emission
-// records (known edges and constraints, in the serial build's order)
-// persist across audits. An appended batch only dirties the keys it writes
-// or reads; clean keys keep their records verbatim, so the
+// The read index (readIndex) and the per-key records (KeyRecord) persist
+// across audits. An appended batch only dirties the keys it writes or
+// reads; clean keys keep their records verbatim, so the
 // O(chains²)-per-key constraint pass — the dominant construction cost —
 // reruns only where the history actually changed. Each audit then replays
 // the records into a Polygraph (byte-identical to Build on the same
@@ -22,23 +21,12 @@ package core
 
 import (
 	"context"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"viper/internal/history"
 	"viper/internal/obs"
 )
-
-// rangeObs remembers a committed range query so that keys first written
-// after the query was indexed can retroactively contribute the genesis
-// observations the batch build derives: a range query silent about a
-// written key inside its bounds read that key's initial version.
-type rangeObs struct {
-	reader   history.TxnID
-	lo, hi   history.Key
-	returned map[history.Key]bool
-}
 
 // Incremental is a long-lived checking session over a growing history.
 // Append transactions (Append / the owned History), then Audit; each audit
@@ -53,14 +41,9 @@ type Incremental struct {
 	h    *history.History
 
 	// Persistent construction state.
-	indexed   int // h.Txns high-water mark already folded into the indexes
-	g1bHigh   int // h.Txns high-water mark already screened for G1b reads
-	readers   map[history.Key]map[history.TxnID][]history.TxnID
-	writers   map[history.Key][]history.TxnID
-	knownKeys map[history.Key]bool
-	ranges    []rangeObs
-	dirty     map[history.Key]bool
-	records   map[history.Key]*KeyRecord
+	ix      *readIndex
+	g1bHigh int // h.Txns high-water mark already screened for G1b reads
+	records map[history.Key]*KeyRecord
 
 	rejected *Report // cached graph rejection (levels are prefix-closed)
 	audits   int
@@ -82,17 +65,23 @@ type Incremental struct {
 // NewIncremental returns an empty checking session. The zero history
 // contains only genesis; use Append (or write to History()) to grow it.
 func NewIncremental(opts Options) *Incremental {
-	return &Incremental{
-		opts:      opts,
-		h:         history.New(),
-		indexed:   1,
-		g1bHigh:   1,
-		readers:   make(map[history.Key]map[history.TxnID][]history.TxnID),
-		writers:   make(map[history.Key][]history.TxnID),
-		knownKeys: make(map[history.Key]bool),
-		dirty:     make(map[history.Key]bool),
-		records:   make(map[history.Key]*KeyRecord),
-	}
+	return newIncremental(opts, history.New())
+}
+
+// newIncremental returns a session over h, with nothing indexed yet.
+func newIncremental(opts Options, h *history.History) *Incremental {
+	inc := &Incremental{opts: opts}
+	inc.reset(h)
+	return inc
+}
+
+// reset points the session at h and drops every structure derived from
+// the previous history; the next audit rebuilds them over h.
+func (inc *Incremental) reset(h *history.History) {
+	inc.h = h
+	inc.ix = newReadIndex(h)
+	inc.g1bHigh = 1
+	inc.records = make(map[history.Key]*KeyRecord)
 }
 
 // Progress returns the most recently published progress snapshot: the
@@ -211,8 +200,7 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	constructStart := time.Now()
 	inc.publish(obs.Snapshot{Phase: "construct"})
 	conReg := inc.opts.Tracer.Start("construct")
-	inc.update()
-	regenWall, regenCPU, workers := inc.regen()
+	recordWall, recordCPU, workers := inc.construct()
 
 	// G1b screen (ra.go): an intermediate read can never replay under any
 	// event schedule (commits install last-write-per-key, so VerifyWitness
@@ -251,7 +239,7 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	conReg.End()
 	rep := CheckPolygraphContext(ctx, pg, inc.obsOpts())
 	rep.Phases.Construct = construct
-	rep.Phases.ConstructCPU = construct - regenWall + regenCPU
+	rep.Phases.ConstructCPU = construct - recordWall + recordCPU
 	rep.ConstructWorkers = workers
 	if rep.Outcome == Reject {
 		// A rejection reached under a live context is a real verdict (the
@@ -272,137 +260,27 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	return rep
 }
 
-// addReader records one external observation (key, writer → reader),
-// deduplicated exactly like the batch read collection, and dirties the key.
-func (inc *Incremental) addReader(key history.Key, w, r history.TxnID) {
-	if w == r {
-		return
-	}
-	m := inc.readers[key]
-	if m == nil {
-		m = make(map[history.TxnID][]history.TxnID)
-		inc.readers[key] = m
-	}
-	for _, prev := range m[w] {
-		if prev == r {
-			return
-		}
-	}
-	m[w] = append(m[w], r)
-	inc.dirty[key] = true
-}
-
-// update folds transactions appended since the last audit into the
-// persistent indexes, marking the keys they touch dirty. Processing new
-// transactions in id order keeps every per-(key, writer) reader list in
-// the same order the batch read collection produces.
-func (inc *Incremental) update() {
-	h := inc.h
-	if inc.indexed >= len(h.Txns) {
-		return
-	}
-	newTxns := h.Txns[inc.indexed:]
-	inc.indexed = len(h.Txns)
-
-	// New committed writers first: they define which keys are new, which
-	// older range queries must retroactively observe.
-	var newKeys []history.Key
-	for _, t := range newTxns {
-		if !t.Committed() {
-			continue
-		}
-		for key := range t.LastWritePerKey() {
-			inc.writers[key] = append(inc.writers[key], t.ID)
-			inc.dirty[key] = true
-			if !inc.knownKeys[key] {
-				inc.knownKeys[key] = true
-				newKeys = append(newKeys, key)
-			}
-		}
-	}
-	if len(newKeys) > 0 {
-		sort.Slice(newKeys, func(i, j int) bool { return newKeys[i] < newKeys[j] })
-		for _, ro := range inc.ranges {
-			for _, k := range newKeys {
-				if k >= ro.lo && k <= ro.hi && !ro.returned[k] {
-					inc.addReader(k, history.GenesisID, ro.reader)
-				}
-			}
-		}
-	}
-
-	for _, t := range newTxns {
-		if !t.Committed() {
-			continue
-		}
-		t.ExternalReads(func(key history.Key, obs history.WriteID) {
-			ref, ok := h.WriterOf(obs)
-			if !ok {
-				return // unreachable on validated histories
-			}
-			inc.addReader(key, ref.Txn, t.ID)
-		})
-		for i := range t.Ops {
-			op := &t.Ops[i]
-			if op.Kind != history.OpRange {
-				continue
-			}
-			returned := make(map[history.Key]bool, len(op.Result))
-			for _, v := range op.Result {
-				returned[v.Key] = true
-			}
-			for _, k := range h.KeysInRange(op.Lo, op.Hi) {
-				if !returned[k] {
-					inc.addReader(k, history.GenesisID, t.ID)
-				}
-			}
-			inc.ranges = append(inc.ranges, rangeObs{reader: t.ID, lo: op.Lo, hi: op.Hi, returned: returned})
-		}
-	}
-}
-
-// regen rebuilds the emission records of every dirty written key on the
-// construction pool (per-key records are independent, and per-key costs
-// vary wildly). It returns the pass's wall time, summed per-worker busy
-// time, and worker count for the report's construction accounting. lite is
-// only consulted for the node mapping (classify); it is shared read-only
-// across workers.
-func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
-	keys := make([]history.Key, 0, len(inc.dirty))
-	for k := range inc.dirty {
-		if len(inc.writers[k]) > 0 {
-			keys = append(keys, k) // never-written keys have nothing to emit
-		}
-	}
-	inc.dirty = make(map[history.Key]bool)
+// construct folds the transactions appended since the last audit into
+// the index and records every key they dirtied on the construction pool.
+// It returns the recording pass's wall time, summed per-worker busy time
+// and worker count (1 when nothing was recorded) for the report's
+// construction accounting.
+func (inc *Incremental) construct() (wall, cpu time.Duration, workers int) {
+	keys := inc.ix.update()
 	if len(keys) == 0 {
 		return 0, 0, 1
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	combine, coalesce := !inc.opts.DisableCombineWrites, !inc.opts.DisableCoalesce
-	lite := &Polygraph{ser: inc.ser()}
-	recs := make([]*KeyRecord, len(keys))
-	workers = max(1, inc.opts.workers())
-	wall, cpu, _ = runPool(workers, len(keys), func(i int) {
-		key := keys[i]
-		recs[i] = lite.recordKey(key, inc.writers[key], inc.readers[key], combine, coalesce)
-	}, nil)
-
-	for i, key := range keys {
-		inc.records[key] = recs[i]
-	}
-	return wall, cpu, workers
+	// The emit callback never errors, so recording cannot either.
+	wall, cpu, _ = inc.ix.record(inc.opts, keys, func(i int, rec *KeyRecord) error {
+		inc.records[keys[i]] = rec
+		return nil
+	})
+	return wall, cpu, inc.opts.workers()
 }
 
-// assemble materializes the record store as a Polygraph through the
-// shared skeleton and replay (parallel.go), so the result is
-// byte-identical to Build for the same history.
+// assemble replays the record store into a Polygraph (byte-identical to
+// Build for the same history).
 func (inc *Incremental) assemble() *Polygraph {
-	pg := newPolygraph(inc.h, inc.opts.Level)
-	pg.buildWorkers = 1
 	keys := inc.h.Keys()
-	pg.replay(len(keys), func(i int) *KeyRecord { return inc.records[keys[i]] })
-	pg.addVariantEdges(inc.opts)
-	return pg
+	return assemble(inc.h, inc.opts, func(i int) *KeyRecord { return inc.records[keys[i]] })
 }

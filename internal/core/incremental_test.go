@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"viper/internal/history"
@@ -143,42 +144,42 @@ func TestIncrementalValidationRejectNotSticky(t *testing.T) {
 	}
 }
 
-// TestIncrementalFirstAuditMatchesBatchPolygraph: the record-store
-// assembly must reproduce Build byte-for-byte, so the one-shot wrappers
-// stay byte-compatible with the historical pipeline.
+// TestIncrementalFirstAuditMatchesBatchPolygraph: a history streamed into
+// a session in batches must assemble to Build's polygraph byte for byte at
+// every audit — the first one and every extension — so session and
+// one-shot reports describe the same graph.
 func TestIncrementalFirstAuditMatchesBatchPolygraph(t *testing.T) {
-	h, _, err := runner.Run(workload.NewRangeB(), runner.Config{Clients: 3, Txns: 50, Seed: 11})
+	rangeB, _, err := runner.Run(workload.NewRangeB(), runner.Config{Clients: 3, Txns: 50, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, level := range []Level{AdyaSI, Serializability, StrongSessionSI} {
-		opts := Options{Level: level}
-		want := Build(h, opts)
-		inc := NewIncremental(opts)
-		for _, tx := range h.Txns[1:] {
-			t2 := *tx
-			inc.Append(&t2)
-		}
-		if err := inc.History().Validate(); err != nil {
-			t.Fatal(err)
-		}
-		inc.update()
-		inc.regen()
-		got := inc.assemble()
-		if len(got.Known) != len(want.Known) || len(got.Cons) != len(want.Cons) {
-			t.Fatalf("%v: assembled %d known/%d cons, batch %d/%d",
-				level, len(got.Known), len(got.Cons), len(want.Known), len(want.Cons))
-		}
-		for i := range want.Known {
-			if got.Known[i] != want.Known[i] {
-				t.Fatalf("%v: known edge %d differs: %+v vs %+v", level, i, got.Known[i], want.Known[i])
-			}
-		}
-		for i := range want.Cons {
-			if len(got.Cons[i].First) != len(want.Cons[i].First) ||
-				len(got.Cons[i].Second) != len(want.Cons[i].Second) ||
-				got.Cons[i].Key != want.Cons[i].Key {
-				t.Fatalf("%v: constraint %d differs", level, i)
+	// A range query silent about a key first written in a later batch read
+	// the key's initial version, so the session adds it to the key's
+	// genesis readers retroactively. It must land at its transaction-order
+	// position, ahead of the newer plain reader, where Build puts it: the
+	// anti-dependency edges toward the writer then come out in Build's
+	// order.
+	retroactive := []*history.Txn{
+		{Session: 0, Ops: []history.Op{{Kind: history.OpRange, Lo: "a", Hi: "z"}}},
+		{Session: 1, Ops: []history.Op{{Kind: history.OpRead, Key: "k", Observed: history.GenesisWriteID}}},
+		{Session: 2, Ops: []history.Op{{Kind: history.OpWrite, Key: "k", WriteID: 1}}},
+	}
+	for _, tc := range []struct {
+		name string
+		txns []*history.Txn
+		step int
+	}{
+		{"range-b", rangeB.Txns[1:], 7},
+		{"retroactive-range-genesis", retroactive, 2},
+	} {
+		for _, level := range []Level{AdyaSI, Serializability, StrongSessionSI} {
+			opts := Options{Level: level}
+			inc := NewIncremental(opts)
+			for at := 0; at < len(tc.txns); at += tc.step {
+				hi := min(at+tc.step, len(tc.txns))
+				inc.mustAudit(t, tc.txns[at:hi]...)
+				comparePolygraphs(t, Build(inc.History(), opts), inc.assemble(),
+					fmt.Sprintf("%s, %v, audit at %d txns", tc.name, level, hi))
 			}
 		}
 	}

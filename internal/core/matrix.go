@@ -150,11 +150,7 @@ func (m *Matrix) bind(h *history.History) {
 		return
 	}
 	m.h = h
-	sub := func(l Level) *Incremental {
-		inc := NewIncremental(m.levelOpts(l))
-		inc.h = h
-		return inc
-	}
+	sub := func(l Level) *Incremental { return newIncremental(m.levelOpts(l), h) }
 	m.si, m.gsi, m.ser = sub(AdyaSI), sub(GSI), sub(Serializability)
 }
 

@@ -235,12 +235,10 @@ type Options struct {
 	// conflicts; an ablation knob.
 	DisablePhaseBias bool
 
-	// Parallelism is the worker count for BC-polygraph construction: the
-	// read-collection pass shards over transaction ranges and the per-key
-	// constraint pass shards over keys, with per-worker buffers merged
-	// deterministically so the polygraph is identical to a serial build
-	// regardless of worker count. 0 (the default) means
-	// runtime.GOMAXPROCS(0); 1 runs the exact legacy serial path.
+	// Parallelism is the worker count for BC-polygraph construction's
+	// per-key recording pass, which shards over keys; the records replay in
+	// key order, so the polygraph is identical for every worker count. 0
+	// (the default) means runtime.GOMAXPROCS(0); 1 means one worker.
 	Parallelism int
 
 	// Portfolio, when > 1, runs that many differently-seeded solver

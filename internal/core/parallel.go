@@ -1,35 +1,31 @@
-// Sharded BC-polygraph construction: the record-and-replay plumbing every
-// construction path except Build's serial branch runs on.
+// BC-polygraph construction: the one path every polygraph is built along,
+// whether by Build, by a CheckHistory or session audit (Incremental), or
+// by cluster workers and their coordinator (shard.go).
 //
 // Constraint generation is O(n²) in the worst case (pairwise writer-chain
-// constraints per key) but independent across keys, and read collection is
-// independent across transactions. Construction therefore splits into a
-// per-key recording pass and a serial replay, with one copy of each piece:
+// constraints per key) but independent across keys. Construction therefore
+// splits into an index, a per-key recording pass and a replay, with one
+// copy of each piece:
 //
+//   - The index (readIndex, polygraph.go): key → writer → readers and
+//     key → writers, in transaction order. A session extends it at every
+//     audit; update reports the keys whose records are stale.
 //   - The skeleton (newPolygraph, polygraph.go): node layout, wall-clock
 //     hints, and intra-transaction edges.
-//   - The pool (runPool): workers claim indices from an atomic cursor
-//     (per-key costs vary wildly) and write their output into a slice
-//     indexed by position, so the schedule cannot influence the result.
-//     Read collection shards the transaction list into contiguous ranges
-//     on it (collectReadsSharded); the per-key recording pass (recordKey →
-//     KeyRecord) runs on it for Build (recordKeys), for cluster workers
-//     (BuildShardRecordsOrdered), and for Incremental.regen.
+//   - The recording pass (readIndex.record → recordKey → KeyRecord) on the
+//     pool (runPool): workers claim keys from an atomic cursor (per-key
+//     costs vary wildly) and write their records into a slice indexed by
+//     position, so the schedule cannot influence the result.
 //   - The replay (replay, replayWR, replayOps): the per-key records fold
-//     into the polygraph in exactly the order the serial build emits them —
-//     all read-dependency edges in ascending key order, then each key's
-//     constraint-pass emissions in ascending key order. The knownSet-
-//     dependent steps (duplicate-edge suppression and dropping
-//     constraint-side edges that are already certain) are deferred to this
-//     replay, where the evolving known set matches the serial build's
-//     state at the same point. Build's sharded branch, Incremental.assemble
-//     and the cluster coordinator's ShardMerger all replay through it, so
-//     each is byte-identical to the serial build for any worker count.
-//
-// Read collection merges per-worker indexes in shard order: contiguity
-// keeps each per-(key, writer) reader list in transaction order, and a
-// (key, writer, reader) triple can only be produced by the reader's own
-// shard, so concatenating shard lists reproduces the serial index exactly.
+//     into the polygraph in one fixed order — all read-dependency edges in
+//     ascending key order, then each key's constraint-pass emissions in
+//     ascending key order. The knownSet-dependent steps (duplicate-edge
+//     suppression and dropping constraint-side edges that are already
+//     certain) happen only here, against the evolving known set. Build,
+//     Incremental.AuditContext and the cluster coordinator's ShardMerger
+//     all replay through it, so a polygraph is byte-identical for any
+//     worker count, any session batching and any assignment of keys to
+//     shards.
 package core
 
 import (
@@ -62,27 +58,25 @@ type KeyOp struct {
 // cluster nodes) compose.
 type KeyRecord struct {
 	Key history.Key
-	WR  []Edge  // read-dependency edges, in serial emission order
-	Ops []KeyOp // constraint-pass emissions, in serial emission order
+	WR  []Edge  // read-dependency edges, in emission order
+	Ops []KeyOp // constraint-pass emissions, in emission order
 }
 
-// keyRecorder is the constraintSink that records emissions instead of
-// applying them; pg is only read (classify), never written.
-type keyRecorder struct {
-	pg  *Polygraph
-	rec *KeyRecord
-}
-
-func (kr keyRecorder) knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key) {
-	if e, cls := kr.pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
-		kr.rec.Ops = append(kr.rec.Ops, KeyOp{Edge: e, Kind: kind})
+// recordKnown records a certain event-level edge, elided when classify
+// resolves it as trivially true or impossible.
+func (pg *Polygraph) recordKnown(rec *KeyRecord, fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind) {
+	if e, cls := pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
+		rec.Ops = append(rec.Ops, KeyOp{Edge: e, Kind: kind})
 	}
 }
 
-func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key) {
+// recordConstraint records an either/or constraint over event-level edge
+// sets. Each side is resolved through classify: trivially true edges are
+// elided, and a side containing an impossible edge is marked bad.
+func (pg *Polygraph) recordConstraint(rec *KeyRecord, first, second []eventEdge, kind1, kind2 EdgeKind) {
 	resolve := func(side []eventEdge) (edges []Edge, invalid bool) {
 		for _, ee := range side {
-			e, cls := kr.pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit)
+			e, cls := pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit)
 			switch cls {
 			case edgeFalse:
 				return nil, true
@@ -95,16 +89,17 @@ func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKin
 	}
 	f, fBad := resolve(first)
 	s, sBad := resolve(second)
-	kr.rec.Ops = append(kr.rec.Ops, KeyOp{
+	rec.Ops = append(rec.Ops, KeyOp{
 		Cons: true, First: f, Second: s, FBad: fBad, SBad: sBad,
 		Kind: kind1, Kind2: kind2,
 	})
 }
 
 // recordKey runs the per-key recording pass for one key: its
-// read-dependency edges in the order the serial pass emits them
-// (addReadDeps' inner loops), then its constraint-pass emissions. pg is
-// only consulted for the node mapping, so one pg serves every worker.
+// read-dependency edges (commit of writer → begin of reader, by ascending
+// writer; reads of genesis need none), then its constraint-pass
+// emissions. pg is only consulted for the node mapping, so one pg serves
+// every worker.
 func (pg *Polygraph) recordKey(key history.Key, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool) *KeyRecord {
 	rec := &KeyRecord{Key: key}
 	for _, w := range sortedTxns(byWriter) {
@@ -117,32 +112,30 @@ func (pg *Polygraph) recordKey(key history.Key, writers []history.TxnID, byWrite
 			}
 		}
 	}
-	pg.buildKeyConstraints(key, writers, byWriter, combine, coalesce, keyRecorder{pg: pg, rec: rec})
+	pg.buildKeyConstraints(rec, writers, byWriter, combine, coalesce)
 	return rec
 }
 
-// recordKeys runs the recording pass over keys (ascending, a subset of
-// h.Keys()) on the pool and hands each key's record to emit in key order
-// (see runPool); a record is dropped once emitted. It returns the wall
-// and summed busy time of its parallel sections.
-func recordKeys(h *history.History, opts Options, keys []history.Key, emit func(i int, rec *KeyRecord) error) (wall, cpu time.Duration, err error) {
+// record runs the recording pass over keys (ascending, each written) on
+// the pool and hands each key's record to emit in key order as soon as
+// every earlier key is recorded (see runPool); a record is dropped once
+// emitted. It returns the pass's wall and summed busy time, and the
+// first emit error.
+func (ix *readIndex) record(opts Options, keys []history.Key, emit func(i int, rec *KeyRecord) error) (wall, cpu time.Duration, err error) {
 	if len(keys) == 0 {
 		return 0, 0, nil
 	}
-	lite := &Polygraph{H: h, ser: opts.Level == Serializability}
-	workers := opts.workers()
-	readers, wall, cpu := lite.collectReadsSharded(workers)
-	wbk := writersByKey(h)
+	lite := &Polygraph{ser: opts.Level == Serializability}
 	combine, coalesce := !opts.DisableCombineWrites, !opts.DisableCoalesce
 	recs := make([]*KeyRecord, len(keys))
-	w, c, err := runPool(workers, len(keys), func(i int) {
-		recs[i] = lite.recordKey(keys[i], wbk[keys[i]], readers[keys[i]], combine, coalesce)
+	return runPool(opts.workers(), len(keys), func(i int) {
+		key := keys[i]
+		recs[i] = lite.recordKey(key, ix.writers[key], ix.readers[key], combine, coalesce)
 	}, func(i int) error {
 		rec := recs[i]
 		recs[i] = nil // release as we go: a cluster shard may be large
 		return emit(i, rec)
 	})
-	return wall + w, cpu + c, err
 }
 
 // replay folds the records of n keys, in ascending key order, into pg:
@@ -179,8 +172,10 @@ func (pg *Polygraph) replayOps(n int, rec func(i int) *KeyRecord) {
 }
 
 // applyOp replays one recorded emission against the live polygraph,
-// performing the knownSet-dependent steps the workers deferred. This
-// mirrors addConstraint's case analysis exactly.
+// performing the knownSet-dependent steps the workers deferred: a side
+// with an impossible edge forces the other side into the known graph, and
+// a side left empty once certain edges are dropped makes the constraint
+// vacuous.
 func (pg *Polygraph) applyOp(op *KeyOp, key history.Key) {
 	if !op.Cons {
 		pg.addKnown(op.Edge, op.Kind, key)
@@ -227,53 +222,13 @@ func (pg *Polygraph) applyOp(op *KeyOp, key history.Key) {
 	}
 }
 
-// collectReadsSharded is collectReads over contiguous per-worker
-// transaction ranges on the pool, merged in shard order. It also returns
-// the pass's wall and summed busy time.
-func (pg *Polygraph) collectReadsSharded(workers int) (map[history.Key]map[history.TxnID][]history.TxnID, time.Duration, time.Duration) {
-	txns := pg.H.Txns[1:]
-	if workers > len(txns) {
-		workers = len(txns)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	shards := make([]map[history.Key]map[history.TxnID][]history.TxnID, workers)
-	per := (len(txns) + workers - 1) / workers
-	wall, cpu, _ := runPool(workers, workers, func(w int) {
-		lo := min(w*per, len(txns))
-		hi := min(lo+per, len(txns))
-		m := make(map[history.Key]map[history.TxnID][]history.TxnID)
-		pg.collectReadsInto(m, txns[lo:hi])
-		shards[w] = m
-	}, nil)
-
-	// Merge in shard order: per-(key, writer) lists concatenate in
-	// transaction order, and no (key, writer, reader) triple can appear
-	// in two shards, so no cross-shard dedup is needed.
-	merged := shards[0]
-	for _, m := range shards[1:] {
-		for key, byW := range m {
-			dst := merged[key]
-			if dst == nil {
-				merged[key] = byW
-				continue
-			}
-			for w, rs := range byW {
-				dst[w] = append(dst[w], rs...)
-			}
-		}
-	}
-	return merged, wall, cpu
-}
-
-// runPool is the work-stealing pool every parallel construction pass
-// runs on: up to workers goroutines claim indices [0, n) from an atomic
-// cursor and run fn on each. When emit is non-nil it is called from the
-// calling goroutine for each index in ascending order as soon as fn has
-// finished every index up to it — while later indices still run — and an
-// emit error stops the pool and is returned. wall is the pass's elapsed
-// time, cpu the summed per-worker busy time.
+// runPool is the work-stealing pool the recording pass runs on: up to
+// workers goroutines claim indices [0, n) from an atomic cursor and run
+// fn on each. emit is called from the calling goroutine for each index in
+// ascending order as soon as fn has finished every index up to it — while
+// later indices still run — and an emit error stops the pool and is
+// returned. wall is the pass's elapsed time, cpu the summed per-worker
+// busy time.
 func runPool(workers, n int, fn func(i int), emit func(i int) error) (wall, cpu time.Duration, err error) {
 	workers = max(1, min(workers, n))
 	start := time.Now()
@@ -281,13 +236,9 @@ func runPool(workers, n int, fn func(i int), emit func(i int) error) (wall, cpu 
 		cursor, busy atomic.Int64
 		abort        atomic.Bool
 		wg           sync.WaitGroup
-		done         []atomic.Bool
-		ready        chan struct{}
+		done         = make([]atomic.Bool, n)
+		ready        = make(chan struct{}, n)
 	)
-	if emit != nil {
-		done = make([]atomic.Bool, n)
-		ready = make(chan struct{}, n)
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -299,15 +250,13 @@ func runPool(workers, n int, fn func(i int), emit func(i int) error) (wall, cpu 
 					break
 				}
 				fn(i)
-				if emit != nil {
-					done[i].Store(true)
-					ready <- struct{}{}
-				}
+				done[i].Store(true)
+				ready <- struct{}{}
 			}
 			busy.Add(int64(time.Since(t0)))
 		}()
 	}
-	for next := 0; emit != nil && next < n && err == nil; {
+	for next := 0; next < n && err == nil; {
 		if !done[next].Load() {
 			<-ready
 			continue

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"time"
 
 	"viper/internal/history"
 )
@@ -108,19 +108,8 @@ type Polygraph struct {
 	ser      bool
 	knownSet map[Edge]bool
 
-	// Construction timing: buildWall is wall-clock time, buildCPU the same
-	// work summed across workers (equal for a serial build), buildWorkers
-	// the resolved worker count.
-	buildWall    time.Duration
-	buildCPU     time.Duration
-	buildWorkers int
-}
-
-// BuildTimings reports construction wall-clock time, the equivalent CPU
-// time summed across workers (== wall for a serial build), and the worker
-// count used.
-func (pg *Polygraph) BuildTimings() (wall, cpu time.Duration, workers int) {
-	return pg.buildWall, pg.buildCPU, pg.buildWorkers
+	// knownByKind counts Known by edge kind, maintained by addKnown.
+	knownByKind [EdgeHeuristic + 1]int
 }
 
 // Begin returns the node id of t's begin event.
@@ -221,6 +210,7 @@ func (pg *Polygraph) addKnown(e Edge, kind EdgeKind, key history.Key) {
 		return
 	}
 	pg.knownSet[e] = true
+	pg.knownByKind[kind]++
 	pg.Known = append(pg.Known, KnownEdge{Edge: e, Kind: kind, Key: key})
 }
 
@@ -230,47 +220,6 @@ type eventEdge struct {
 	fromCommit bool
 	toT        history.TxnID
 	toCommit   bool
-}
-
-// addConstraint normalizes and records a constraint whose sides are event
-// edges. Sides containing an impossible edge are dropped (forcing the
-// other side into the known graph); trivially-true edges are elided.
-func (pg *Polygraph) addConstraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key) {
-	resolve := func(side []eventEdge) (edges []Edge, invalid bool) {
-		for _, ee := range side {
-			e, cls := pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit)
-			switch cls {
-			case edgeFalse:
-				return nil, true
-			case edgeTrue:
-				continue
-			}
-			if pg.knownSet[e] {
-				continue // already certain
-			}
-			edges = append(edges, e)
-		}
-		return edges, false
-	}
-	f, fBad := resolve(first)
-	s, sBad := resolve(second)
-	switch {
-	case fBad && sBad:
-		pg.Contradiction = true
-	case fBad:
-		for _, e := range s {
-			pg.addKnown(e, kind2, key)
-		}
-	case sBad:
-		for _, e := range f {
-			pg.addKnown(e, kind1, key)
-		}
-	case len(f) == 0 || len(s) == 0:
-		// One side holds trivially: the constraint imposes nothing (any
-		// acyclic supergraph can drop the other side's edges).
-	default:
-		pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: kind1, Kind2: kind2, Key: key})
-	}
 }
 
 // chain is a maximal run of writers of one key whose mutual write order is
@@ -287,36 +236,22 @@ func (c *chain) tail() history.TxnID { return c.members[len(c.members)-1] }
 
 // Build constructs the BC-polygraph of a validated history (Figure 4's
 // CreateBCPolygraph, plus range-query derivation, combining writes,
-// constraint coalescing, and the variant edges of §5). When
-// opts.Parallelism resolves to more than one worker, read collection and
-// per-key constraint generation are sharded across a worker pool
-// (parallel.go); the resulting polygraph is identical to the serial build.
+// constraint coalescing, and the variant edges of §5) along the one
+// construction path (parallel.go): index the history, record every key on
+// the worker pool, and replay the records in key order. The polygraph is
+// identical for every opts.Parallelism.
 func Build(h *history.History, opts Options) *Polygraph {
-	start := time.Now()
+	recs := BuildShardRecords(h, opts, h.Keys())
+	return assemble(h, opts, func(i int) *KeyRecord { return recs[i] })
+}
+
+// assemble lays out the skeleton, replays the records of h.Keys() (rec(i)
+// is key i's record, or nil when the key contributes nothing), and adds
+// the level's variant edges.
+func assemble(h *history.History, opts Options, rec func(i int) *KeyRecord) *Polygraph {
 	pg := newPolygraph(h, opts.Level)
-	var parWall, parCPU time.Duration
-	if w := opts.workers(); w > 1 && len(h.Keys()) > 0 && h.Len() > 1 {
-		pg.buildWorkers = w
-		keys := h.Keys()
-		recs := make([]*KeyRecord, len(keys))
-		parWall, parCPU, _ = recordKeys(h, opts, keys, func(i int, rec *KeyRecord) error {
-			recs[i] = rec
-			return nil
-		})
-		pg.replay(len(keys), func(i int) *KeyRecord { return recs[i] })
-	} else {
-		pg.buildWorkers = 1
-		readers := pg.collectReads()
-		writersByKey := writersByKey(h)
-		pg.addReadDeps(readers)
-		// Constraints per key, over writer chains.
-		for _, key := range h.Keys() {
-			pg.buildKeyConstraints(key, writersByKey[key], readers[key], !opts.DisableCombineWrites, !opts.DisableCoalesce, pg)
-		}
-	}
+	pg.replay(len(h.Keys()), rec)
 	pg.addVariantEdges(opts)
-	pg.buildWall = time.Since(start)
-	pg.buildCPU = pg.buildWall - parWall + parCPU
 	return pg
 }
 
@@ -357,26 +292,6 @@ func (pg *Polygraph) addVariantEdges(opts Options) {
 	}
 }
 
-// addReadDeps emits the read-dependency edges: commit of writer → begin of
-// reader. Reads from genesis need no edge (genesis trivially commits
-// first).
-func (pg *Polygraph) addReadDeps(readers map[history.Key]map[history.TxnID][]history.TxnID) {
-	for _, key := range sortedKeys(readers) {
-		byWriter := readers[key]
-		for _, w := range sortedTxns(byWriter) {
-			if w == history.GenesisID {
-				continue
-			}
-			for _, r := range byWriter[w] {
-				e, cls := pg.classify(w, true, r, false)
-				if cls == edgeNormal {
-					pg.addKnown(e, EdgeWR, key)
-				}
-			}
-		}
-	}
-}
-
 // initNodeTS fills the per-node wall-clock hints.
 func (pg *Polygraph) initNodeTS() {
 	pg.nodeTS = make([]int64, pg.NumNodes)
@@ -389,41 +304,111 @@ func (pg *Polygraph) initNodeTS() {
 	}
 }
 
-// collectReads indexes external read observations: key → writer →
-// readers (deduplicated, deterministic order). Range queries contribute
-// their returned versions as reads, and — thanks to the tombstone
-// discipline (§4) — genesis reads for every written key inside the range
-// that was absent from the result: a correct collector setup never truly
-// deletes keys, so absence can only mean "never inserted", i.e. the range
-// query read the key's initial version.
-func (pg *Polygraph) collectReads() map[history.Key]map[history.TxnID][]history.TxnID {
-	readers := make(map[history.Key]map[history.TxnID][]history.TxnID, len(pg.H.Txns))
-	pg.collectReadsInto(readers, pg.H.Txns[1:])
-	return readers
+// rangeObs remembers a committed range query so that keys first written
+// after the query was indexed can retroactively contribute the genesis
+// observations it implies.
+type rangeObs struct {
+	reader   history.TxnID
+	lo, hi   history.Key
+	returned map[history.Key]bool
 }
 
-// collectReadsInto indexes the external reads of the given transactions
-// into readers. Sharding callers pass contiguous transaction ranges so
-// per-(key, writer) reader lists stay in transaction order (parallel.go).
-func (pg *Polygraph) collectReadsInto(readers map[history.Key]map[history.TxnID][]history.TxnID, txns []*history.Txn) {
-	h := pg.H
+// readIndex is the read/writer index every construction path records
+// from: key → writer → readers of that version, and key → committed
+// writers, each list deduplicated and in transaction order. Range queries
+// contribute their returned versions as reads, and — thanks to the
+// tombstone discipline (§4) — genesis reads for every written key inside
+// the range that was absent from the result: a correct collector setup
+// never truly deletes keys, so absence can only mean "never inserted",
+// i.e. the range query read the key's initial version.
+//
+// The index grows with its history: update folds in the transactions
+// appended since the last update, so a one-shot build fills it in one call
+// and a session extends it at every audit.
+type readIndex struct {
+	h       *history.History
+	indexed int // h.Txns high-water mark already folded in
+	readers map[history.Key]map[history.TxnID][]history.TxnID
+	writers map[history.Key][]history.TxnID
+	ranges  []rangeObs
+}
+
+func newReadIndex(h *history.History) *readIndex {
+	return &readIndex{
+		h:       h,
+		indexed: 1,
+		readers: make(map[history.Key]map[history.TxnID][]history.TxnID),
+		writers: make(map[history.Key][]history.TxnID),
+	}
+}
+
+// indexHistory returns the index of every transaction of h.
+func indexHistory(h *history.History) *readIndex {
+	ix := newReadIndex(h)
+	ix.update()
+	return ix
+}
+
+// update folds transactions [indexed, len(h.Txns)) into the index and
+// returns the written keys whose writers or readers changed, ascending:
+// the keys whose records must be recorded again. h must be validated.
+func (ix *readIndex) update() []history.Key {
+	h := ix.h
+	if ix.indexed >= len(h.Txns) {
+		return nil
+	}
+	newTxns := h.Txns[ix.indexed:]
+	ix.indexed = len(h.Txns)
+	dirty := make(map[history.Key]bool)
 	add := func(key history.Key, w, r history.TxnID) {
-		if w == r {
-			return
+		if ix.addReader(key, w, r) {
+			dirty[key] = true
 		}
-		m := readers[key]
-		if m == nil {
-			m = make(map[history.TxnID][]history.TxnID, 4)
-			readers[key] = m
+	}
+
+	// New committed writers first: they define which keys are new, which
+	// older range queries must retroactively observe. Write ops are
+	// scanned directly rather than through a per-transaction
+	// LastWritePerKey map; a transaction's repeated writes of a key
+	// deduplicate against the list's tail, since no later transaction can
+	// have appended in between.
+	var newKeys []history.Key
+	for _, t := range newTxns {
+		if !t.Committed() {
+			continue
 		}
-		for _, prev := range m[w] {
-			if prev == r {
-				return
+		for i := range t.Ops {
+			switch t.Ops[i].Kind {
+			case history.OpWrite, history.OpInsert, history.OpDelete:
+				key := t.Ops[i].Key
+				ws := ix.writers[key]
+				if len(ws) > 0 && ws[len(ws)-1] == t.ID {
+					continue
+				}
+				if len(ws) == 0 {
+					newKeys = append(newKeys, key)
+				}
+				ix.writers[key] = append(ws, t.ID)
+				dirty[key] = true
 			}
 		}
-		m[w] = append(m[w], r)
 	}
-	for _, t := range txns {
+	if len(newKeys) > 0 && len(ix.ranges) > 0 {
+		slices.Sort(newKeys)
+		for _, ro := range ix.ranges {
+			from, _ := slices.BinarySearch(newKeys, ro.lo)
+			for _, k := range newKeys[from:] {
+				if k > ro.hi {
+					break
+				}
+				if !ro.returned[k] {
+					add(k, history.GenesisID, ro.reader)
+				}
+			}
+		}
+	}
+
+	for _, t := range newTxns {
 		if !t.Committed() {
 			continue
 		}
@@ -434,7 +419,6 @@ func (pg *Polygraph) collectReadsInto(readers map[history.Key]map[history.TxnID]
 			}
 			add(key, ref.Txn, t.ID)
 		})
-		// Non-returned written keys inside range bounds ⇒ genesis reads.
 		for i := range t.Ops {
 			op := &t.Ops[i]
 			if op.Kind != history.OpRange {
@@ -449,35 +433,45 @@ func (pg *Polygraph) collectReadsInto(readers map[history.Key]map[history.TxnID]
 					add(k, history.GenesisID, t.ID)
 				}
 			}
+			ix.ranges = append(ix.ranges, rangeObs{reader: t.ID, lo: op.Lo, hi: op.Hi, returned: returned})
 		}
 	}
-}
 
-// constraintSink receives the emissions of the per-key constraint pass.
-// The serial build (the Polygraph itself) applies them to the graph
-// immediately; the sharded build records them per key and replays them in
-// serial order (parallel.go).
-type constraintSink interface {
-	// knownEvent emits a certain event-level edge (elided when classify
-	// resolves it as trivially true or impossible).
-	knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key)
-	// constraint emits an either/or constraint over event-level edge sets.
-	constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key)
-}
-
-func (pg *Polygraph) knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key) {
-	if e, cls := pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
-		pg.addKnown(e, kind, key)
+	keys := make([]history.Key, 0, len(dirty))
+	for k := range dirty {
+		if len(ix.writers[k]) > 0 {
+			keys = append(keys, k) // never-written keys have nothing to record
+		}
 	}
+	slices.Sort(keys)
+	return keys
 }
 
-func (pg *Polygraph) constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key) {
-	pg.addConstraint(first, second, kind1, kind2, key)
+// addReader records that r observed w's version of key and reports
+// whether the observation is new. The reader is inserted at its sorted
+// position: a range query's retroactive genesis observation can arrive
+// after newer readers of the same version.
+func (ix *readIndex) addReader(key history.Key, w, r history.TxnID) bool {
+	if w == r {
+		return false
+	}
+	m := ix.readers[key]
+	if m == nil {
+		m = make(map[history.TxnID][]history.TxnID, 4)
+		ix.readers[key] = m
+	}
+	rs := m[w]
+	i, found := slices.BinarySearch(rs, r)
+	if found {
+		return false
+	}
+	m[w] = slices.Insert(rs, i, r)
+	return true
 }
 
 // buildKeyConstraints emits the known edges and constraints for one key
-// (Figure 4 lines 37–50, at writer-chain granularity) into the sink.
-func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool, sink constraintSink) {
+// (Figure 4 lines 37–50, at writer-chain granularity) into rec.
+func (pg *Polygraph) buildKeyConstraints(rec *KeyRecord, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool) {
 	chains := pg.writerChains(writers, byWriter, combine)
 	if len(chains) == 0 {
 		return
@@ -491,14 +485,14 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 		}
 		for i := 0; i+1 < len(ch.members); i++ {
 			cur, next := ch.members[i], ch.members[i+1]
-			sink.knownEvent(cur, true, next, false, EdgeWW, key)
+			pg.recordKnown(rec, cur, true, next, false, EdgeWW)
 			// Readers of a non-tail version anti-depend on the next
 			// in-chain writer.
 			for _, r := range byWriter[cur] {
 				if r == next {
 					continue
 				}
-				sink.knownEvent(r, false, next, true, EdgeRW, key)
+				pg.recordKnown(rec, r, false, next, true, EdgeRW)
 			}
 		}
 	}
@@ -512,10 +506,10 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 				continue
 			}
 			if gchain.tail() != history.GenesisID {
-				sink.knownEvent(gchain.tail(), true, ch.head(), false, EdgeWW, key)
+				pg.recordKnown(rec, gchain.tail(), true, ch.head(), false, EdgeWW)
 			}
 			for _, r := range byWriter[gchain.tail()] {
-				sink.knownEvent(r, false, ch.head(), true, EdgeRW, key)
+				pg.recordKnown(rec, r, false, ch.head(), true, EdgeRW)
 			}
 		}
 	}
@@ -529,14 +523,14 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 	}
 	for i := 0; i < len(real); i++ {
 		for j := i + 1; j < len(real); j++ {
-			pg.chainPairConstraints(key, real[i], real[j], byWriter, coalesce, sink)
+			pg.chainPairConstraints(rec, real[i], real[j], byWriter, coalesce)
 		}
 	}
 }
 
 // chainPairConstraints emits the constraints between two chains: either
 // ch1 is entirely before ch2 in the key's version order or vice versa.
-func (pg *Polygraph) chainPairConstraints(key history.Key, ch1, ch2 *chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool, sink constraintSink) {
+func (pg *Polygraph) chainPairConstraints(rec *KeyRecord, ch1, ch2 *chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool) {
 	// "ch1 before ch2" edges: tail1 commits before head2 begins, and every
 	// reader of tail1's version begins before head2 commits.
 	sideEdges := func(first, second *chain) []eventEdge {
@@ -550,17 +544,17 @@ func (pg *Polygraph) chainPairConstraints(key history.Key, ch1, ch2 *chain, byWr
 	rev := sideEdges(ch2, ch1)
 
 	if coalesce {
-		sink.constraint(fwd, rev, EdgeWW, EdgeWW, key)
+		pg.recordConstraint(rec, fwd, rev, EdgeWW, EdgeWW)
 		return
 	}
 	// Uncoalesced: the paper's per-edge XOR constraints (Figure 4 lines 46
 	// and 50), all sharing the "other order" ww edge.
-	sink.constraint(fwd[:1], rev[:1], EdgeWW, EdgeWW, key)
+	pg.recordConstraint(rec, fwd[:1], rev[:1], EdgeWW, EdgeWW)
 	for _, e := range fwd[1:] {
-		sink.constraint([]eventEdge{e}, rev[:1], EdgeRW, EdgeWW, key)
+		pg.recordConstraint(rec, []eventEdge{e}, rev[:1], EdgeRW, EdgeWW)
 	}
 	for _, e := range rev[1:] {
-		sink.constraint([]eventEdge{e}, fwd[:1], EdgeRW, EdgeWW, key)
+		pg.recordConstraint(rec, []eventEdge{e}, fwd[:1], EdgeRW, EdgeWW)
 	}
 }
 
@@ -663,32 +657,6 @@ func (pg *Polygraph) writerChains(writers []history.TxnID, byWriter map[history.
 	return chains
 }
 
-// writersByKey indexes the committed writers of each key, in txn order.
-// Write ops are scanned directly rather than through a per-transaction
-// LastWritePerKey map (one map allocation per txn); a transaction's
-// repeated writes of a key deduplicate against the slice tail, since no
-// later transaction can have appended in between. Transactions iterate in
-// ID order, so each per-key slice is born sorted — no sort pass.
-func writersByKey(h *history.History) map[history.Key][]history.TxnID {
-	out := make(map[history.Key][]history.TxnID, len(h.Txns))
-	for _, t := range h.Txns[1:] {
-		if !t.Committed() {
-			continue
-		}
-		for i := range t.Ops {
-			switch t.Ops[i].Kind {
-			case history.OpWrite, history.OpInsert, history.OpDelete:
-				key := t.Ops[i].Key
-				if ws := out[key]; len(ws) > 0 && ws[len(ws)-1] == t.ID {
-					continue
-				}
-				out[key] = append(out[key], t.ID)
-			}
-		}
-	}
-	return out
-}
-
 // addSessionEdges adds commit→begin edges between consecutive committed
 // transactions of each session (Strong Session SI, §5).
 func (pg *Polygraph) addSessionEdges() {
@@ -706,15 +674,6 @@ func (pg *Polygraph) addSessionEdges() {
 			prev = id
 		}
 	}
-}
-
-func sortedKeys[V any](m map[history.Key]V) []history.Key {
-	keys := make([]history.Key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 func sortedTxns[V any](m map[history.TxnID]V) []history.TxnID {
@@ -743,8 +702,10 @@ func (pg *Polygraph) Stats() GraphStats {
 		EdgesByKind: make(map[EdgeKind]int),
 		Constraints: len(pg.Cons),
 	}
-	for _, ke := range pg.Known {
-		st.EdgesByKind[ke.Kind]++
+	for kind, n := range pg.knownByKind {
+		if n > 0 {
+			st.EdgesByKind[EdgeKind(kind)] = n
+		}
 	}
 	for _, c := range pg.Cons {
 		st.ConstraintEdges += len(c.First) + len(c.Second)

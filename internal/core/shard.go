@@ -41,7 +41,7 @@ import (
 // returned. opts.Parallelism bounds the local worker pool; the records
 // are identical for any worker count.
 func BuildShardRecordsOrdered(h *history.History, opts Options, keys []history.Key, emit func(i int, rec *KeyRecord) error) error {
-	_, _, err := recordKeys(h, opts, keys, emit)
+	_, _, err := indexHistory(h).record(opts, keys, emit)
 	return err
 }
 
@@ -196,9 +196,6 @@ func (m *ShardMerger) Finish() (*Polygraph, error) {
 	m.pg.replayOps(len(keys), func(i int) *KeyRecord { return m.recs[i] })
 	m.pg.addVariantEdges(m.opts)
 	m.replay += time.Since(start)
-	m.pg.buildWall = m.replay
-	m.pg.buildCPU = m.replay
-	m.pg.buildWorkers = 1
 	return m.pg, nil
 }
 

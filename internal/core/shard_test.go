@@ -65,9 +65,9 @@ func mergeViaShards(t *testing.T, h *history.History, opts Options, shards int) 
 }
 
 // TestShardRecordsMergeIdenticalToBuild is the distributed counterpart
-// of TestShardedBuildIdenticalToSerial: recording each key range
+// of TestShardedBuildIdenticalAcrossWorkers: recording each key range
 // separately (with varying intra-shard parallelism) and replaying the
-// concatenated records must reproduce the serial build byte for byte,
+// concatenated records must reproduce the one-worker build byte for byte,
 // for every level, optimization combination, and shard count.
 func TestShardRecordsMergeIdenticalToBuild(t *testing.T) {
 	histories := map[string]*history.History{
@@ -87,13 +87,13 @@ func TestShardRecordsMergeIdenticalToBuild(t *testing.T) {
 				{Level: level, DisableCombineWrites: true},
 				{Level: level, DisableCoalesce: true},
 			} {
-				serialOpts := combo
-				serialOpts.Parallelism = 1
-				serial := Build(h, serialOpts)
+				oneOpts := combo
+				oneOpts.Parallelism = 1
+				one := Build(h, oneOpts)
 				for _, shards := range []int{1, 2, 3, 7} {
 					recOpts := combo
 					recOpts.Parallelism = 1 + shards%3
-					comparePolygraphs(t, serial, mergeViaShards(t, h, recOpts, shards), name+"/"+level.String())
+					comparePolygraphs(t, one, mergeViaShards(t, h, recOpts, shards), name+"/"+level.String())
 				}
 			}
 		}
@@ -110,9 +110,9 @@ func TestShardRecordsOnGeneratedWorkload(t *testing.T) {
 	}
 	for _, level := range []Level{AdyaSI, StrongSessionSI, Serializability} {
 		opts := Options{Level: level, Parallelism: 1}
-		serial := Build(h, opts)
+		built := Build(h, opts)
 		for _, shards := range []int{2, 4} {
-			comparePolygraphs(t, serial, mergeViaShards(t, h, opts, shards), "blindw-rw/"+level.String())
+			comparePolygraphs(t, built, mergeViaShards(t, h, opts, shards), "blindw-rw/"+level.String())
 		}
 		want := CheckHistory(h, opts)
 		m, err := mergeRecords(h, opts, shardRecords(h, opts, 3))
@@ -158,7 +158,7 @@ func TestBuildPolygraphFromShardsCoverage(t *testing.T) {
 
 // TestShardMergerIncremental drives the streaming merge exactly as the
 // coordinator does — records arriving out of index order, some
-// duplicated by retries — and demands the serial build byte for byte.
+// duplicated by retries — and demands Build's polygraph byte for byte.
 func TestShardMergerIncremental(t *testing.T) {
 	h, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 8, Txns: 250, Seed: 17})
 	if err != nil {
@@ -167,7 +167,7 @@ func TestShardMergerIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, level := range []Level{AdyaSI, StrongSessionSI, Serializability} {
 		opts := Options{Level: level, Parallelism: 1}
-		serial := Build(h, opts)
+		want := Build(h, opts)
 		recs := BuildShardRecords(h, opts, h.Keys())
 
 		m := NewShardMerger(h, opts)
@@ -192,7 +192,7 @@ func TestShardMergerIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: Finish: %v", level, err)
 		}
-		comparePolygraphs(t, serial, pg, "merger/"+level.String())
+		comparePolygraphs(t, want, pg, "merger/"+level.String())
 	}
 }
 

@@ -202,11 +202,11 @@ func TestDifferentialOracleVsViper(t *testing.T) {
 	}
 }
 
-// TestParallelBuildMatchesSerialOnFuzzCorpus runs the sharded-construction
-// differential over the oracle fuzz corpus: Build with Parallelism 2 and 8
-// must reproduce the serial polygraph (stats, edge sets, constraints) and
-// the same verdict on every generated history.
-func TestParallelBuildMatchesSerialOnFuzzCorpus(t *testing.T) {
+// TestParallelBuildMatchesOneWorkerOnFuzzCorpus runs the
+// sharded-construction differential over the oracle fuzz corpus: Build
+// with Parallelism 2 and 8 must reproduce the one-worker polygraph (stats,
+// edge sets, constraints) and the same verdict on every generated history.
+func TestParallelBuildMatchesOneWorkerOnFuzzCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	checked := 0
 	for iter := 0; iter < 400; iter++ {
@@ -216,17 +216,17 @@ func TestParallelBuildMatchesSerialOnFuzzCorpus(t *testing.T) {
 		}
 		checked++
 		for _, level := range []core.Level{core.AdyaSI, core.Serializability} {
-			serial := core.Build(h, core.Options{Level: level, Parallelism: 1})
+			one := core.Build(h, core.Options{Level: level, Parallelism: 1})
 			for _, p := range []int{2, 8} {
 				sharded := core.Build(h, core.Options{Level: level, Parallelism: p})
-				if !reflect.DeepEqual(serial.Stats(), sharded.Stats()) {
+				if !reflect.DeepEqual(one.Stats(), sharded.Stats()) {
 					t.Fatalf("iter %d p=%d %v: stats %+v vs %+v\nhistory: %+v",
-						iter, p, level, serial.Stats(), sharded.Stats(), dump(h))
+						iter, p, level, one.Stats(), sharded.Stats(), dump(h))
 				}
-				if !reflect.DeepEqual(serial.Known, sharded.Known) ||
-					!reflect.DeepEqual(serial.Cons, sharded.Cons) ||
-					serial.Contradiction != sharded.Contradiction {
-					t.Fatalf("iter %d p=%d %v: polygraph differs from serial build\nhistory: %+v",
+				if !reflect.DeepEqual(one.Known, sharded.Known) ||
+					!reflect.DeepEqual(one.Cons, sharded.Cons) ||
+					one.Contradiction != sharded.Contradiction {
+					t.Fatalf("iter %d p=%d %v: polygraph differs from one-worker build\nhistory: %+v",
 						iter, p, level, dump(h))
 				}
 			}
@@ -234,7 +234,7 @@ func TestParallelBuildMatchesSerialOnFuzzCorpus(t *testing.T) {
 			for _, p := range []int{2, 8} {
 				got := core.CheckHistory(h, core.Options{Level: level, Parallelism: p}).Outcome
 				if got != want {
-					t.Fatalf("iter %d p=%d %v: outcome %v, serial %v\nhistory: %+v",
+					t.Fatalf("iter %d p=%d %v: outcome %v, one worker %v\nhistory: %+v",
 						iter, p, level, got, want, dump(h))
 				}
 			}
