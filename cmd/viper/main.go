@@ -245,7 +245,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *dotPath != "" {
-		pg := core.Build(h, opts)
+		// Draw the polygraph of Definition 3: every constraint, none
+		// pre-decided away by timestamp.
+		full := opts
+		full.DisableTSFastPath = true
+		pg := core.Build(h, full)
 		f, err := os.Create(*dotPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "viper: %v\n", err)

@@ -74,6 +74,34 @@ func TestRunRejectWithCycleAndDot(t *testing.T) {
 	if _, err := histio.ReadFile(dot); err == nil {
 		t.Fatal("dot file parsed as history?!")
 	}
+
+	// A timestamped history whose one write-order constraint the clocks
+	// decide: the drawing must still show it as a constraint.
+	b := history.NewBuilder()
+	b.Session().Txn().Write("x").Commit()
+	w2 := b.Session().Txn().Write("x").Commit()
+	b.Session().Txn().ReadObserved("x", w2.WriteIDOf("x")).Commit()
+	h := b.MustHistory()
+	if n := core.Build(h, core.Options{Level: core.AdyaSI}).Stats().Constraints; n != 0 {
+		t.Fatalf("setup: %d constraints left undecided by the clocks, want 0", n)
+	}
+	path = filepath.Join(t.TempDir(), "ts.jsonl")
+	if err := histio.WriteFile(path, h); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if code := run([]string{"-dot", dot, path}, &out, &errb); code != 0 {
+		t.Fatalf("timestamped history: exit %d, out: %s", code, out.String())
+	}
+	raw, err := os.ReadFile(dot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`label="c0"`, `label="c0'"`, "style=dashed"} {
+		if !strings.Contains(string(raw), want) {
+			t.Fatalf("DOT of a timestamped history misses constraint %q:\n%s", want, raw)
+		}
+	}
 }
 
 func TestRunValidationReject(t *testing.T) {

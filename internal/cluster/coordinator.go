@@ -656,6 +656,9 @@ func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []*core.
 		}
 	}
 	for _, rec := range recs {
+		// Pre-decided constraints count as constraints; with only their
+		// chosen side on record, they never count as cross-shard.
+		si.Constraints += rec.Decided
 		si.KnownEdges += len(rec.WR)
 		for _, e := range rec.WR {
 			if anyForeign(e) {

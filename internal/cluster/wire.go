@@ -5,12 +5,16 @@
 //
 // Two message types travel between coordinator and worker:
 //
-//   - Shard job (coordinator → worker, "VWS1"): the key-sliced history.
-//     The shard's key table leads; operations then reference keys by
-//     varint table index instead of repeating key strings, and write
-//     ids / observed ids / timestamps are zigzag-varint deltas against
-//     a running previous value (collectors assign write ids roughly
-//     monotonically, so deltas are small).
+//   - Shard job (coordinator → worker, "VWS1"): the recording options,
+//     then the key-sliced history. The options carry the timestamp
+//     pre-decision gate the coordinator evaluated on the full history
+//     (core.PreDecides; a worker sees only its slice and cannot) and the
+//     ClockDrift it decides under. The shard's key table leads the
+//     history; operations then reference keys by varint table index
+//     instead of repeating key strings, and write ids / observed ids /
+//     timestamps are zigzag-varint deltas against a running previous
+//     value (collectors assign write ids roughly monotonically, so
+//     deltas are small).
 //
 //   - Shard digest (worker → coordinator, "VWD1"): the shard's
 //     core.KeyRecords — the same per-key record the process-local
@@ -22,7 +26,10 @@
 //     value count; node ids are zigzag-varint deltas against a
 //     per-record running previous value: emission order visits
 //     transactions roughly in id order, so consecutive ids are near each
-//     other and most deltas fit one byte.
+//     other and most deltas fit one byte. A record ends with its
+//     pre-decided constraint count and their chosen edges, one run on
+//     the same delta chain: a pre-decided pair costs its chosen side
+//     alone, so digests shrink with the pairs timestamps decide.
 package cluster
 
 import (
@@ -32,6 +39,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"time"
 
 	"viper/internal/core"
 	"viper/internal/history"
@@ -260,8 +268,12 @@ func encodeShardJob(w io.Writer, h *history.History, kr keyRange, opts core.Opti
 	if opts.DisableCoalesce {
 		flags |= 2
 	}
+	if core.PreDecides(h, opts) {
+		flags |= 4
+	}
 	e.byte1(flags)
 	e.uvarint(uint64(opts.Parallelism))
+	e.svarint(int64(opts.ClockDrift))
 	e.str(opts.Level.String())
 	e.uvarint(uint64(len(keys)))
 	for _, k := range keys {
@@ -357,7 +369,11 @@ func decodeShardJob(r *bufio.Reader) (core.Options, *history.History, []history.
 	flags := d.byte1()
 	opts.DisableCombineWrites = flags&1 != 0
 	opts.DisableCoalesce = flags&2 != 0
+	// The slice's own gate can only be open where the full history's is
+	// (its reads are a subset), so the coordinator's verdict decides.
+	opts.DisableTSFastPath = flags&4 == 0
 	opts.Parallelism = d.count("parallelism")
+	opts.ClockDrift = time.Duration(d.svarint())
 	levelName := d.str("level")
 	if d.err == nil {
 		lvl, ok := core.ParseLevel(levelName)
@@ -503,6 +519,8 @@ func (d *digestEncoder) record(rec *core.KeyRecord) error {
 		edges(op.First...)
 		edges(op.Second...)
 	}
+	e.uvarint(uint64(rec.Decided))
+	edges(rec.Chosen...)
 	d.n++
 	return e.err
 }
@@ -605,10 +623,9 @@ func (d *wireDec) readRecord(key history.Key) *core.KeyRecord {
 	}
 	rec.WR = edges("wr edge")
 	nops := d.count("digest op")
-	if d.err != nil || nops == 0 {
-		return rec
+	if d.err == nil && nops > 0 {
+		rec.Ops = make([]core.KeyOp, 0, min(nops, 1<<16))
 	}
-	rec.Ops = make([]core.KeyOp, 0, min(nops, 1<<16))
 	for i := 0; i < nops && d.err == nil; i++ {
 		flags := d.byte1()
 		if d.err == nil && flags&^7 != 0 {
@@ -632,6 +649,8 @@ func (d *wireDec) readRecord(key history.Key) *core.KeyRecord {
 		}
 		rec.Ops = append(rec.Ops, op)
 	}
+	rec.Decided = d.count("pre-decided constraint")
+	rec.Chosen = edges("chosen edge")
 	return rec
 }
 

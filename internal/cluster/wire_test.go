@@ -125,6 +125,9 @@ func hostileDigests(tb testing.TB, recs []*core.KeyRecord) map[string]struct {
 	tb.Helper()
 	far := *recs[0]
 	far.WR = append([]core.Edge{{From: 1, To: 1 << 20}}, far.WR...)
+	farChosen := *recs[0]
+	farChosen.Decided++
+	farChosen.Chosen = append([]core.Edge{{From: 1, To: 1 << 20}}, farChosen.Chosen...)
 	raw := func(first func(e *wireEnc)) []byte {
 		var buf bytes.Buffer
 		enc := newDigestEncoder(&buf, "w")
@@ -157,9 +160,10 @@ func hostileDigests(tb testing.TB, recs []*core.KeyRecord) map[string]struct {
 		digest []byte
 		want   string
 	}{
-		"node-out-of-range": {encodeDigest(tb, append([]*core.KeyRecord{&far}, recs[1:]...)), "outside the polygraph"},
-		"known-edge-3-ids":  {raw(knownEdge(2, 1, 1)), "known edge has 3 node ids"},
-		"known-edge-0-ids":  {raw(knownEdge()), "known edge has 0 node ids"},
+		"node-out-of-range":   {encodeDigest(tb, append([]*core.KeyRecord{&far}, recs[1:]...)), "outside the polygraph"},
+		"chosen-out-of-range": {encodeDigest(tb, append([]*core.KeyRecord{&farChosen}, recs[1:]...)), "outside the polygraph"},
+		"known-edge-3-ids":    {raw(knownEdge(2, 1, 1)), "known edge has 3 node ids"},
+		"known-edge-0-ids":    {raw(knownEdge()), "known edge has 0 node ids"},
 		"odd-side": {raw(func(e *wireEnc) {
 			e.uvarint(0)
 			e.uvarint(1)
@@ -231,8 +235,10 @@ func TestHostileDigestRejected(t *testing.T) {
 
 // FuzzWireRoundTrip: for arbitrary generated histories, encode→decode→
 // record→digest→merge must reproduce the single-node records and
-// verdict exactly. This is the codec's soundness property — a wire bug
-// must never be able to flip a verdict.
+// verdict exactly — with timestamp pre-decision (the generated clocks
+// are conformant, so records carry pre-decided constraints), under a
+// drift bound, and with it off. This is the codec's soundness property
+// — a wire bug must never be able to flip a verdict.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(40, 5, int64(1), 2)
 	f.Add(120, 9, int64(7), 3)
@@ -249,18 +255,26 @@ func FuzzWireRoundTrip(f *testing.F) {
 		for _, level := range []core.Level{core.AdyaSI, core.StrongSessionSI} {
 			roundTripShards(t, h, core.Options{Level: level, Parallelism: 1}, shards)
 		}
+		roundTripShards(t, h, core.Options{Level: core.AdyaSI, Parallelism: 1, ClockDrift: time.Duration(seed&63) * time.Nanosecond}, shards)
+		roundTripShards(t, h, core.Options{Level: core.AdyaSI, Parallelism: 1, DisableTSFastPath: true}, shards)
 	})
 }
 
 // FuzzDigestDecode throws arbitrary bytes at the digest decoder and
 // feeds whatever decodes into a ShardMerger and the merged check, as the
 // coordinator does with network input: every stage must error or
-// succeed — never panic or spin.
+// succeed — never panic or spin. The seed digests carry pre-decided
+// constraints, so mutations reach the chosen-edge block and the merged
+// check's fallback rebuild.
 func FuzzDigestDecode(f *testing.F) {
 	h := wireHistory(40, 5, 1)
 	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
 	recs := core.BuildShardRecords(h, opts, h.Keys())
+	if decided(recs) == 0 {
+		f.Fatal("seed digest carries no pre-decided constraint")
+	}
 	f.Add(encodeDigest(f, recs))
+	f.Add(encodeDigest(f, core.BuildShardRecords(h, core.Options{Level: core.AdyaSI, Parallelism: 1, DisableTSFastPath: true}, h.Keys())))
 	f.Add([]byte("VWD1"))
 	f.Add([]byte{})
 	hostile := hostileDigests(f, recs)
@@ -385,5 +399,35 @@ func TestDigestEncodeAllocs(t *testing.T) {
 	})
 	if avg > 8 {
 		t.Fatalf("digest encode costs %.1f allocs per shard (want ≤ 8: pooled buffers defeated?)", avg)
+	}
+}
+
+// decided counts the pre-decided constraints of recs.
+func decided(recs []*core.KeyRecord) int {
+	n := 0
+	for _, rec := range recs {
+		n += rec.Decided
+	}
+	return n
+}
+
+// TestWireRoundTripPreDecided: on a history with conformant clocks the
+// shard job carries the coordinator's pre-decision gate, workers record
+// pre-decided constraints, the digest round-trips them, and it is
+// smaller than the digest of the same shard with every constraint built.
+func TestWireRoundTripPreDecided(t *testing.T) {
+	h := wireHistory(200, 6, 3)
+	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
+	off := opts
+	off.DisableTSFastPath = true
+	on, full := core.BuildShardRecords(h, opts, h.Keys()), core.BuildShardRecords(h, off, h.Keys())
+	if decided(on) == 0 || decided(full) != 0 {
+		t.Fatalf("pre-decided %d with the gate open, %d with the fast path off", decided(on), decided(full))
+	}
+	if a, b := len(encodeDigest(t, on)), len(encodeDigest(t, full)); a >= b {
+		t.Fatalf("pre-decided digest is %d bytes, the full one %d", a, b)
+	}
+	for _, o := range []core.Options{opts, off} {
+		roundTripShards(t, h, o, 3)
 	}
 }

@@ -284,7 +284,7 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 		Nodes:       int(pg.NumNodes),
 		KnownEdges:  len(pg.Known),
 		KnownByKind: pg.knownByKind,
-		Constraints: len(pg.Cons),
+		Constraints: len(pg.Cons) + pg.preDecided,
 	}
 	// A context that is already done stops the check before any stage —
 	// including the constraint-free fast path, which would otherwise accept.
@@ -321,7 +321,7 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 	// Constraint-free fast path (write order fully known — e.g. the
 	// list-append workload, §7.1): the BC-polygraph is a BC-graph and the
 	// successful topological sort already proves acyclicity.
-	if len(pg.Cons) == 0 {
+	if rep.Constraints == 0 {
 		rep.Outcome = Accept
 		rep.WitnessPositions = positionsOf(order)
 		rep.selfCheck(pg, opts)
@@ -331,8 +331,9 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 	pos := positionsOf(order)
 
 	// Timestamp fast path (tsorder.go): when the history carries usable
-	// timestamps, classify every constraint against the strict drift
-	// relation in one near-linear pass. With everything decided and the
+	// timestamps, classify every materialised constraint against the
+	// strict drift relation in one near-linear pass (the recording pass
+	// may have pre-decided the rest). With everything decided and the
 	// chosen sides following the topological order (which already embeds
 	// every known edge), the order itself witnesses a compatible graph —
 	// accept without resolution, encoding, or solving. A small residue
@@ -347,14 +348,14 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 			tsStart := time.Now()
 			tc := pg.tsClassify(opts.ClockDrift.Nanoseconds())
 			rep.TSDecided, rep.TSResidual = tc.decided, len(tc.residual)
-			if len(tc.residual) == 0 && edgesForward(tc.chosen, pos) {
+			if len(tc.residual) == 0 && chosenForward(tc.chosen, pos) {
 				rep.Phases.TSOrder = time.Since(tsStart)
 				rep.Outcome = Accept
 				rep.WitnessPositions = pos
 				rep.selfCheck(pg, opts)
 				return rep
 			}
-			if tc.decided*10 >= len(pg.Cons)*9 {
+			if tc.decided*10 >= rep.Constraints*9 {
 				// Timestamps decided >= 90%: solve only the residue.
 				rep.Phases.TSOrder = time.Since(tsStart)
 				return pg.checkTSResidue(ctx, opts, rep, tc, out, order, less, deadline, checkStart)
@@ -363,6 +364,15 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 			// standard pipeline; the counters still report what they knew.
 			rep.Phases.TSOrder = time.Since(tsStart)
 		}
+	}
+	if pg.preDecided > 0 {
+		// Only the timestamp path can finish a polygraph whose records
+		// pre-decided constraints; the standard pipeline needs them all.
+		if ctx.Err() != nil {
+			rep.Outcome = Timeout
+			return rep
+		}
+		return pg.checkFull(ctx, opts, rep, false)
 	}
 
 	// Sound pre-solve resolution (resolve.go): discharge every constraint
@@ -450,7 +460,7 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 // chosen sides); with a non-empty assume, Unsat is only exact relative to
 // those assumptions. Canceling ctx interrupts the attempt's solver(s);
 // the attempt then reports Unknown.
-func (pg *Polygraph) attempt(ctx context.Context, opts Options, rep *Report, cons []Constraint, known []KnownEdge, pos []int32, k int, deadline time.Time, checkStart time.Time, assume []Edge) sat.Result {
+func (pg *Polygraph) attempt(ctx context.Context, opts Options, rep *Report, cons []Constraint, known []KnownEdge, pos []int32, k int, deadline time.Time, checkStart time.Time, assume [][]Edge) sat.Result {
 	attReg := opts.Tracer.Start("attempt")
 	attReg.SetAttr("k", int64(k))
 	defer attReg.End()
@@ -561,7 +571,7 @@ func (pg *Polygraph) attempt(ctx context.Context, opts Options, rep *Report, con
 					ElapsedNS:           int64(time.Since(checkStart)),
 					Nodes:               int(pg.NumNodes),
 					KnownEdges:          len(known),
-					Constraints:         len(pg.Cons),
+					Constraints:         rep.Constraints,
 					PrunedConstraints:   pruned,
 					ResolvedConstraints: rep.ResolvedConstraints,
 					ForcedEdges:         rep.ForcedEdges,
@@ -605,8 +615,10 @@ func (pg *Polygraph) attempt(ctx context.Context, opts Options, rep *Report, con
 		for _, e := range forced {
 			okSoFar = alloc.InsertConstant(e.From, e.To) && okSoFar
 		}
-		for _, e := range assume {
-			okSoFar = alloc.InsertConstant(e.From, e.To) && okSoFar
+		for _, side := range assume {
+			for _, e := range side {
+				okSoFar = alloc.InsertConstant(e.From, e.To) && okSoFar
+			}
 		}
 		for _, e := range heuristic {
 			okSoFar = alloc.InsertConstant(e.From, e.To) && okSoFar

@@ -40,10 +40,12 @@ type Incremental struct {
 	opts Options
 	h    *history.History
 
-	// Persistent construction state.
-	ix      *readIndex
-	g1bHigh int // h.Txns high-water mark already screened for G1b reads
-	records map[history.Key]*KeyRecord
+	// Persistent construction state. preDecide is the pre-decision gate
+	// (tsorder.go) the records were recorded under.
+	ix        *readIndex
+	g1bHigh   int // h.Txns high-water mark already screened for G1b reads
+	records   map[history.Key]*KeyRecord
+	preDecide bool
 
 	rejected *Report // cached graph rejection (levels are prefix-closed)
 	audits   int
@@ -82,6 +84,7 @@ func (inc *Incremental) reset(h *history.History) {
 	inc.ix = newReadIndex(h)
 	inc.g1bHigh = 1
 	inc.records = make(map[history.Key]*KeyRecord)
+	inc.preDecide = false
 }
 
 // Progress returns the most recently published progress snapshot: the
@@ -238,8 +241,10 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	construct := time.Since(constructStart)
 	conReg.End()
 	rep := CheckPolygraphContext(ctx, pg, inc.obsOpts())
-	rep.Phases.Construct = construct
-	rep.Phases.ConstructCPU = construct - recordWall + recordCPU
+	// += keeps the check's own construction: a fallback that had to
+	// rebuild the polygraph in full.
+	rep.Phases.Construct += construct
+	rep.Phases.ConstructCPU += construct - recordWall + recordCPU
 	rep.ConstructWorkers = workers
 	if rep.Outcome == Reject {
 		// A rejection reached under a live context is a real verdict (the
@@ -261,17 +266,23 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 }
 
 // construct folds the transactions appended since the last audit into
-// the index and records every key they dirtied on the construction pool.
-// It returns the recording pass's wall time, summed per-worker busy time
-// and worker count (1 when nothing was recorded) for the report's
+// the index and records every key they dirtied on the construction pool
+// — every key, when the appended transactions moved the pre-decision
+// gate. It returns the recording pass's wall time, summed per-worker busy
+// time and worker count (1 when nothing was recorded) for the report's
 // construction accounting.
 func (inc *Incremental) construct() (wall, cpu time.Duration, workers int) {
 	keys := inc.ix.update()
+	lite := recorder(inc.h, inc.opts)
+	if lite.preDecide != inc.preDecide {
+		inc.preDecide = lite.preDecide
+		keys = inc.h.Keys()
+	}
 	if len(keys) == 0 {
 		return 0, 0, 1
 	}
 	// The emit callback never errors, so recording cannot either.
-	wall, cpu, _ = inc.ix.record(inc.opts, keys, func(i int, rec *KeyRecord) error {
+	wall, cpu, _ = inc.ix.record(lite, inc.opts, keys, func(i int, rec *KeyRecord) error {
 		inc.records[keys[i]] = rec
 		return nil
 	})
@@ -282,5 +293,6 @@ func (inc *Incremental) construct() (wall, cpu time.Duration, workers int) {
 // Build for the same history).
 func (inc *Incremental) assemble() *Polygraph {
 	keys := inc.h.Keys()
-	return assemble(inc.h, inc.opts, func(i int) *KeyRecord { return inc.records[keys[i]] })
+	ix := inc.ix
+	return assemble(inc.h, inc.opts, func() *readIndex { return ix }, func(i int) *KeyRecord { return inc.records[keys[i]] })
 }

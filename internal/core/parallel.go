@@ -15,7 +15,9 @@
 //   - The recording pass (readIndex.record → recordKey → KeyRecord) on the
 //     pool (runPool): workers claim keys from an atomic cursor (per-key
 //     costs vary wildly) and write their records into a slice indexed by
-//     position, so the schedule cannot influence the result.
+//     position, so the schedule cannot influence the result. When the
+//     timestamp pre-decision gate is open (recorder, tsorder.go), the
+//     constraints the clocks decide are counted, not recorded.
 //   - The replay (replay, replayWR, replayOps): the per-key records fold
 //     into the polygraph in one fixed order — all read-dependency edges in
 //     ascending key order, then each key's constraint-pass emissions in
@@ -56,10 +58,17 @@ type KeyOp struct {
 // are global — derived from transaction ids alone — so records computed
 // over disjoint key sets (by different pool workers, or by different
 // cluster nodes) compose.
+//
+// Decided counts the constraints the recording pass pre-decided by
+// timestamp (tsorder.go) instead of recording them as Ops; Chosen holds
+// the edges of their chosen sides, back to back. Both stay zero when the
+// pre-decision gate is closed.
 type KeyRecord struct {
-	Key history.Key
-	WR  []Edge  // read-dependency edges, in emission order
-	Ops []KeyOp // constraint-pass emissions, in emission order
+	Key     history.Key
+	WR      []Edge  // read-dependency edges, in emission order
+	Ops     []KeyOp // constraint-pass emissions, in emission order
+	Decided int
+	Chosen  []Edge
 }
 
 // recordKnown records a certain event-level edge, elided when classify
@@ -70,27 +79,31 @@ func (pg *Polygraph) recordKnown(rec *KeyRecord, fromT history.TxnID, fromCommit
 	}
 }
 
-// recordConstraint records an either/or constraint over event-level edge
-// sets. Each side is resolved through classify: trivially true edges are
-// elided, and a side containing an impossible edge is marked bad.
-func (pg *Polygraph) recordConstraint(rec *KeyRecord, first, second []eventEdge, kind1, kind2 EdgeKind) {
-	resolve := func(side []eventEdge) (edges []Edge, invalid bool) {
-		for _, ee := range side {
-			e, cls := pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit)
-			switch cls {
-			case edgeFalse:
-				return nil, true
-			case edgeTrue:
-				continue
+// recordConstraint records an either/or constraint over sides already
+// resolved through classify (trivially true edges elided; fBad/sBad mark
+// a side with an impossible edge). The sides may alias scratch buffers:
+// a recorded constraint copies them. When pre-decision is on and
+// exactly one side is timestamp-settled, with neither side bad or empty,
+// the constraint is not recorded: its chosen side joins rec.Chosen.
+func (pg *Polygraph) recordConstraint(rec *KeyRecord, f, s []Edge, fBad, sBad bool, kind1, kind2 EdgeKind) {
+	if pg.preDecide && !fBad && !sBad && len(f) > 0 && len(s) > 0 {
+		if fs := pg.settled(f, pg.drift); fs != pg.settled(s, pg.drift) {
+			if !fs {
+				f = s
 			}
-			edges = append(edges, e)
+			rec.Chosen = append(rec.Chosen, f...)
+			rec.Decided++
+			return
 		}
-		return edges, false
 	}
-	f, fBad := resolve(first)
-	s, sBad := resolve(second)
+	clone := func(side []Edge, bad bool) []Edge {
+		if bad || len(side) == 0 {
+			return nil
+		}
+		return append([]Edge(nil), side...)
+	}
 	rec.Ops = append(rec.Ops, KeyOp{
-		Cons: true, First: f, Second: s, FBad: fBad, SBad: sBad,
+		Cons: true, First: clone(f, fBad), Second: clone(s, sBad), FBad: fBad, SBad: sBad,
 		Kind: kind1, Kind2: kind2,
 	})
 }
@@ -119,13 +132,13 @@ func (pg *Polygraph) recordKey(key history.Key, writers []history.TxnID, byWrite
 // record runs the recording pass over keys (ascending, each written) on
 // the pool and hands each key's record to emit in key order as soon as
 // every earlier key is recorded (see runPool); a record is dropped once
-// emitted. It returns the pass's wall and summed busy time, and the
-// first emit error.
-func (ix *readIndex) record(opts Options, keys []history.Key, emit func(i int, rec *KeyRecord) error) (wall, cpu time.Duration, err error) {
+// emitted. lite is the recording polygraph (recorder), shared by every
+// worker. It returns the pass's wall and summed busy time, and the first
+// emit error.
+func (ix *readIndex) record(lite *Polygraph, opts Options, keys []history.Key, emit func(i int, rec *KeyRecord) error) (wall, cpu time.Duration, err error) {
 	if len(keys) == 0 {
 		return 0, 0, nil
 	}
-	lite := &Polygraph{ser: opts.Level == Serializability}
 	combine, coalesce := !opts.DisableCombineWrites, !opts.DisableCoalesce
 	recs := make([]*KeyRecord, len(keys))
 	return runPool(opts.workers(), len(keys), func(i int) {
@@ -136,6 +149,17 @@ func (ix *readIndex) record(opts Options, keys []history.Key, emit func(i int, r
 		recs[i] = nil // release as we go: a cluster shard may be large
 		return emit(i, rec)
 	})
+}
+
+// collect is record gathering the records into a slice, in key order.
+func (ix *readIndex) collect(lite *Polygraph, opts Options, keys []history.Key) (recs []*KeyRecord, wall, cpu time.Duration) {
+	recs = make([]*KeyRecord, len(keys))
+	// The emit callback never errors, so recording cannot either.
+	wall, cpu, _ = ix.record(lite, opts, keys, func(i int, rec *KeyRecord) error {
+		recs[i] = rec
+		return nil
+	})
+	return recs, wall, cpu
 }
 
 // replay folds the records of n keys, in ascending key order, into pg:
@@ -151,6 +175,39 @@ func (pg *Polygraph) replay(n int, rec func(i int) *KeyRecord) {
 	pg.replayOps(n, rec)
 }
 
+// fullPolygraph rebuilds the polygraph of ix.h with every constraint
+// materialised: each key whose record pre-decided a constraint (rec(i),
+// as for replay) is recorded again with pre-decision off, the other
+// records are reused, and the lot is assembled. It returns the
+// re-recording's wall and summed busy time.
+func fullPolygraph(ix *readIndex, opts Options, rec func(i int) *KeyRecord) (pg *Polygraph, wall, cpu time.Duration) {
+	keys := ix.h.Keys()
+	var redo []int
+	for i := range keys {
+		if r := rec(i); r != nil && r.Decided > 0 {
+			redo = append(redo, i)
+		}
+	}
+	redoKeys := make([]history.Key, len(redo))
+	for j, i := range redo {
+		redoKeys[j] = keys[i]
+	}
+	off := opts
+	off.DisableTSFastPath = true
+	recs, wall, cpu := ix.collect(recorder(ix.h, off), off, redoKeys)
+	fresh := make([]*KeyRecord, len(keys))
+	for j, i := range redo {
+		fresh[i] = recs[j]
+	}
+	pg = assemble(ix.h, opts, nil, func(i int) *KeyRecord {
+		if fresh[i] != nil {
+			return fresh[i]
+		}
+		return rec(i)
+	})
+	return pg, wall, cpu
+}
+
 // replayWR is replay's first pass for one key. It depends on no later
 // key, so ShardMerger runs it as records arrive.
 func (pg *Polygraph) replayWR(r *KeyRecord) {
@@ -160,12 +217,18 @@ func (pg *Polygraph) replayWR(r *KeyRecord) {
 }
 
 // replayOps is replay's second pass; it consults the known set, so it
-// must see every key's read-dependency edges first.
+// must see every key's read-dependency edges first. Pre-decided
+// constraints are only counted, and their chosen edges referenced in
+// place: the check reads them straight from the records' arenas.
 func (pg *Polygraph) replayOps(n int, rec func(i int) *KeyRecord) {
 	for i := 0; i < n; i++ {
 		if r := rec(i); r != nil {
 			for j := range r.Ops {
 				pg.applyOp(&r.Ops[j], r.Key)
+			}
+			pg.preDecided += r.Decided
+			if len(r.Chosen) > 0 {
+				pg.chosen = append(pg.chosen, r.Chosen)
 			}
 		}
 	}

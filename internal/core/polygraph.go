@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"viper/internal/history"
 )
@@ -107,6 +108,18 @@ type Polygraph struct {
 
 	ser      bool
 	knownSet map[Edge]bool
+
+	// Timestamp pre-decision (tsorder.go). On the recording polygraph
+	// (recorder), preDecide and drift switch it on. On an assembled one,
+	// preDecided counts the constraints its records pre-decided, chosen
+	// references the records' chosen-edge arenas, and full rebuilds the
+	// polygraph with every constraint materialised, for the checks
+	// timestamps cannot finish.
+	preDecide  bool
+	drift      int64
+	preDecided int
+	chosen     [][]Edge
+	full       func() (pg *Polygraph, wall, cpu time.Duration)
 
 	// knownByKind counts Known by edge kind, maintained by addKnown.
 	knownByKind [EdgeHeuristic + 1]int
@@ -214,14 +227,6 @@ func (pg *Polygraph) addKnown(e Edge, kind EdgeKind, key history.Key) {
 	pg.Known = append(pg.Known, KnownEdge{Edge: e, Kind: kind, Key: key})
 }
 
-// eventEdge is a not-yet-resolved constraint edge.
-type eventEdge struct {
-	fromT      history.TxnID
-	fromCommit bool
-	toT        history.TxnID
-	toCommit   bool
-}
-
 // chain is a maximal run of writers of one key whose mutual write order is
 // known (read-modify-write chains; Cobra's combining writes adapted to
 // BC-polygraphs). The genesis chain, if present, is the version order's
@@ -239,20 +244,36 @@ func (c *chain) tail() history.TxnID { return c.members[len(c.members)-1] }
 // constraint coalescing, and the variant edges of §5) along the one
 // construction path (parallel.go): index the history, record every key on
 // the worker pool, and replay the records in key order. The polygraph is
-// identical for every opts.Parallelism.
+// identical for every opts.Parallelism. When the pre-decision gate is
+// open (tsorder.go), constraints the timestamps decide are counted rather
+// than built; Build with DisableTSFastPath set gives the polygraph of
+// Definition 3 with every constraint materialised.
 func Build(h *history.History, opts Options) *Polygraph {
-	recs := BuildShardRecords(h, opts, h.Keys())
-	return assemble(h, opts, func(i int) *KeyRecord { return recs[i] })
+	ix := indexHistory(h)
+	recs, _, _ := ix.collect(recorder(h, opts), opts, h.Keys())
+	return assemble(h, opts, func() *readIndex { return ix }, func(i int) *KeyRecord { return recs[i] })
 }
 
 // assemble lays out the skeleton, replays the records of h.Keys() (rec(i)
 // is key i's record, or nil when the key contributes nothing), and adds
-// the level's variant edges.
-func assemble(h *history.History, opts Options, rec func(i int) *KeyRecord) *Polygraph {
+// the level's variant edges. When the records pre-decided constraints,
+// the polygraph can rebuild itself in full from the index ix returns.
+func assemble(h *history.History, opts Options, ix func() *readIndex, rec func(i int) *KeyRecord) *Polygraph {
 	pg := newPolygraph(h, opts.Level)
 	pg.replay(len(h.Keys()), rec)
 	pg.addVariantEdges(opts)
+	pg.setFull(opts, ix, rec)
 	return pg
+}
+
+// setFull arms pg's fallback rebuild when its records pre-decided
+// constraints (see fullPolygraph).
+func (pg *Polygraph) setFull(opts Options, ix func() *readIndex, rec func(i int) *KeyRecord) {
+	if pg.preDecided > 0 {
+		pg.full = func() (*Polygraph, time.Duration, time.Duration) {
+			return fullPolygraph(ix(), opts, rec)
+		}
+	}
 }
 
 // newPolygraph lays out the skeleton every construction path starts
@@ -521,40 +542,68 @@ func (pg *Polygraph) buildKeyConstraints(rec *KeyRecord, writers []history.TxnID
 			real = append(real, ch)
 		}
 	}
+	var buf [2][]Edge
 	for i := 0; i < len(real); i++ {
 		for j := i + 1; j < len(real); j++ {
-			pg.chainPairConstraints(rec, real[i], real[j], byWriter, coalesce)
+			pg.chainPairConstraints(rec, real[i], real[j], byWriter, coalesce, &buf)
 		}
 	}
 }
 
 // chainPairConstraints emits the constraints between two chains: either
 // ch1 is entirely before ch2 in the key's version order or vice versa.
-func (pg *Polygraph) chainPairConstraints(rec *KeyRecord, ch1, ch2 *chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool) {
-	// "ch1 before ch2" edges: tail1 commits before head2 begins, and every
-	// reader of tail1's version begins before head2 commits.
-	sideEdges := func(first, second *chain) []eventEdge {
-		edges := []eventEdge{{first.tail(), true, second.head(), false}}
-		for _, r := range byWriter[first.tail()] {
-			edges = append(edges, eventEdge{r, false, second.head(), true})
+// "first before second" means tail(first) commits before head(second)
+// begins, and every reader of tail(first)'s version begins before
+// head(second) commits. Sides resolve through classify straight into the
+// scratch buffers buf, so a pair the recording pass pre-decides
+// allocates nothing.
+func (pg *Polygraph) chainPairConstraints(rec *KeyRecord, ch1, ch2 *chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool, buf *[2][]Edge) {
+	// add appends one event-level edge to side, reporting false for an
+	// impossible edge; trivially true edges are elided.
+	add := func(side *[]Edge, fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool) bool {
+		e, cls := pg.classify(fromT, fromCommit, toT, toCommit)
+		if cls == edgeNormal {
+			*side = append(*side, e)
 		}
-		return edges
+		return cls != edgeFalse
 	}
-	fwd := sideEdges(ch1, ch2)
-	rev := sideEdges(ch2, ch1)
-
 	if coalesce {
-		pg.recordConstraint(rec, fwd, rev, EdgeWW, EdgeWW)
+		side := func(dst []Edge, first, second *chain) ([]Edge, bool) {
+			dst = dst[:0]
+			if !add(&dst, first.tail(), true, second.head(), false) {
+				return dst[:0], true
+			}
+			for _, r := range byWriter[first.tail()] {
+				if !add(&dst, r, false, second.head(), true) {
+					return dst[:0], true
+				}
+			}
+			return dst, false
+		}
+		f, fBad := side(buf[0], ch1, ch2)
+		s, sBad := side(buf[1], ch2, ch1)
+		buf[0], buf[1] = f, s // keep the grown capacity
+		pg.recordConstraint(rec, f, s, fBad, sBad, EdgeWW, EdgeWW)
 		return
 	}
 	// Uncoalesced: the paper's per-edge XOR constraints (Figure 4 lines 46
 	// and 50), all sharing the "other order" ww edge.
-	pg.recordConstraint(rec, fwd[:1], rev[:1], EdgeWW, EdgeWW)
-	for _, e := range fwd[1:] {
-		pg.recordConstraint(rec, []eventEdge{e}, rev[:1], EdgeRW, EdgeWW)
+	one := func(dst []Edge, fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool) ([]Edge, bool) {
+		dst = dst[:0]
+		ok := add(&dst, fromT, fromCommit, toT, toCommit)
+		return dst, !ok
 	}
-	for _, e := range rev[1:] {
-		pg.recordConstraint(rec, []eventEdge{e}, fwd[:1], EdgeRW, EdgeWW)
+	fw, fwBad := one(buf[0], ch1.tail(), true, ch2.head(), false)
+	rv, rvBad := one(buf[1], ch2.tail(), true, ch1.head(), false)
+	pg.recordConstraint(rec, fw, rv, fwBad, rvBad, EdgeWW, EdgeWW)
+	var tmp [1]Edge
+	for _, r := range byWriter[ch1.tail()] {
+		e, eBad := one(tmp[:0], r, false, ch2.head(), true)
+		pg.recordConstraint(rec, e, rv, eBad, rvBad, EdgeRW, EdgeWW)
+	}
+	for _, r := range byWriter[ch2.tail()] {
+		e, eBad := one(tmp[:0], r, false, ch1.head(), true)
+		pg.recordConstraint(rec, e, fw, eBad, fwBad, EdgeRW, EdgeWW)
 	}
 }
 

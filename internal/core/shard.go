@@ -4,7 +4,8 @@
 // Workers in a cluster run the recording pass over their key range and
 // ship the KeyRecords — the "digest" of everything their shard
 // contributes to the global polygraph: read-dependency edges,
-// writer-chain known edges, and undecided either/or constraints, all
+// writer-chain known edges, undecided either/or constraints, and the
+// chosen sides of the constraints timestamps pre-decided, all
 // referencing global node ids. The coordinator replays every shard's
 // records in ascending key order through the same replay Build and
 // Incremental use, so the merged polygraph — and therefore the verdict
@@ -39,21 +40,18 @@ import (
 // wire before the shard finishes. emit is called from the calling
 // goroutine only. An emit error aborts the remaining work and is
 // returned. opts.Parallelism bounds the local worker pool; the records
-// are identical for any worker count.
+// are identical for any worker count. The pre-decision gate is evaluated
+// on h: a worker recording a key slice must be handed options whose
+// DisableTSFastPath carries the full history's gate (PreDecides).
 func BuildShardRecordsOrdered(h *history.History, opts Options, keys []history.Key, emit func(i int, rec *KeyRecord) error) error {
-	_, _, err := indexHistory(h).record(opts, keys, emit)
+	_, _, err := indexHistory(h).record(recorder(h, opts), opts, keys, emit)
 	return err
 }
 
 // BuildShardRecords is BuildShardRecordsOrdered collected into a slice,
 // in the given key order.
 func BuildShardRecords(h *history.History, opts Options, keys []history.Key) []*KeyRecord {
-	recs := make([]*KeyRecord, len(keys))
-	// The emit callback never errors, so recording cannot either.
-	_ = BuildShardRecordsOrdered(h, opts, keys, func(i int, rec *KeyRecord) error {
-		recs[i] = rec
-		return nil
-	})
+	recs, _, _ := indexHistory(h).collect(recorder(h, opts), opts, keys)
 	return recs
 }
 
@@ -139,6 +137,9 @@ func (m *ShardMerger) checkNodes(rec *KeyRecord) error {
 	if err := check(rec.WR...); err != nil {
 		return err
 	}
+	if err := check(rec.Chosen...); err != nil {
+		return err
+	}
 	for j := range rec.Ops {
 		op := &rec.Ops[j]
 		var err error
@@ -193,8 +194,10 @@ func (m *ShardMerger) Finish() (*Polygraph, error) {
 	}
 	m.finished = true
 	start := time.Now()
-	m.pg.replayOps(len(keys), func(i int) *KeyRecord { return m.recs[i] })
+	rec := func(i int) *KeyRecord { return m.recs[i] }
+	m.pg.replayOps(len(keys), rec)
 	m.pg.addVariantEdges(m.opts)
+	m.pg.setFull(m.opts, func() *readIndex { return indexHistory(m.h) }, rec)
 	m.replay += time.Since(start)
 	return m.pg, nil
 }

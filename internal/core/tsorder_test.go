@@ -319,8 +319,10 @@ func TestTSUsableReasons(t *testing.T) {
 // classification against realtime.go's: with gap g between one writer's
 // commit and the next writer's begin, drift == g must leave the
 // constraint undecided (ts(j) − ts(i) > drift is strict) while
-// drift == g−1 decides it. This is the boundary agreement the tentpole
-// requires between tsorder.go and realtime.go.
+// drift == g−1 decides it — both where the recording pass pre-decides
+// (the constraint is then never built) and where the check classifies
+// the materialised polygraph. This is the boundary agreement between
+// tsorder.go and realtime.go.
 func TestTSOrderDriftBoundaryStrict(t *testing.T) {
 	h := history.New()
 	h.Append(&history.Txn{Session: 0, BeginAt: 1, CommitAt: 2,
@@ -330,18 +332,22 @@ func TestTSOrderDriftBoundaryStrict(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	classify := func(drift time.Duration) tsClassified {
-		pg := Build(h, Options{Level: AdyaSI})
-		if len(pg.Cons) != 1 {
-			t.Fatalf("want exactly one WW constraint, got %d", len(pg.Cons))
-		}
-		return pg.tsClassify(drift.Nanoseconds())
-	}
 	// Largest edge gap on the winning side is b(T2) − c(T1) = 98.
-	if tc := classify(97 * time.Nanosecond); tc.decided != 1 {
-		t.Fatalf("drift just under the gap: decided=%d, want 1", tc.decided)
-	}
-	if tc := classify(98 * time.Nanosecond); tc.decided != 0 {
-		t.Fatalf("drift equal to the gap must not decide (strict relation): decided=%d", tc.decided)
+	for _, tc := range []struct {
+		drift   time.Duration
+		decided int
+	}{{97 * time.Nanosecond, 1}, {98 * time.Nanosecond, 0}} {
+		pg := Build(h, Options{Level: AdyaSI, ClockDrift: tc.drift})
+		if pg.preDecided != tc.decided || len(pg.Cons) != 1-tc.decided {
+			t.Fatalf("drift %v: pre-decided %d, materialised %d; want %d pre-decided of the one WW constraint",
+				tc.drift, pg.preDecided, len(pg.Cons), tc.decided)
+		}
+		full := Build(h, Options{Level: AdyaSI, DisableTSFastPath: true})
+		if len(full.Cons) != 1 {
+			t.Fatalf("want exactly one WW constraint, got %d", len(full.Cons))
+		}
+		if got := full.tsClassify(tc.drift.Nanoseconds()).decided; got != tc.decided {
+			t.Fatalf("drift %v: check-time classification decided %d, want %d", tc.drift, got, tc.decided)
+		}
 	}
 }
