@@ -121,6 +121,13 @@ func (c *Checker) History() *History {
 	return h
 }
 
+// LiveHistory returns the session's own history — the live window, plus
+// the certificate of any checkpoint — without copying it. It is read-only
+// and valid until the next Append, Audit or Checkpoint; after an audit
+// that passed validation its indexes are current. History returns a copy
+// that is independent of the session.
+func (c *Checker) LiveHistory() *History { return c.inc.History() }
+
 // Progress returns the session's most recent progress snapshot: the final
 // counters of the last audit, or — while an audit with Options.Progress
 // configured runs — the latest solver sampling tick. Unlike every other
@@ -141,9 +148,13 @@ func (c *Checker) Audit() *Result { return c.AuditContext(context.Background()) 
 // simply run the check again over the same accumulated records. This is
 // how a serving layer (viperd) maps request deadlines and client
 // disconnects onto long-running audits without leaking solver work.
+//
+// Validation checks only the transactions appended since the last audit
+// that passed it (History.ValidateAppended), so an audit's cost before
+// the graph check tracks the appended batch, not the session's window.
 func (c *Checker) AuditContext(ctx context.Context) *Result {
 	start := time.Now()
-	if err := c.inc.History().Validate(); err != nil {
+	if err := c.inc.History().ValidateAppended(); err != nil {
 		return &Result{Outcome: Reject, Violation: err, ParseTime: time.Since(start)}
 	}
 	parse := time.Since(start)
@@ -184,7 +195,7 @@ func (c *Checker) AuditMatrix() *MatrixResult { return c.AuditMatrixContext(cont
 // bounds the whole pass, Options.Timeout each level's check.
 func (c *Checker) AuditMatrixContext(ctx context.Context) *MatrixResult {
 	start := time.Now()
-	if err := c.inc.History().Validate(); err != nil {
+	if err := c.inc.History().ValidateAppended(); err != nil {
 		return &MatrixResult{Outcome: Reject, Violation: err, ParseTime: time.Since(start)}
 	}
 	parse := time.Since(start)

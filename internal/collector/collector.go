@@ -276,16 +276,19 @@ func (t *Txn) Commit() error {
 		return mvcc.ErrDone
 	}
 	t.done = true
+	// The log append shares the commit's critical section, so the log
+	// lists every committed writer before any transaction that read its
+	// writes: a streamed prefix of the log never reads ahead of itself.
 	t.s.c.stampMu.Lock()
 	err := t.db.Commit()
 	t.rec.CommitAt = t.s.c.now() + t.s.drift
-	t.s.c.stampMu.Unlock()
 	if err != nil {
 		t.rec.Status = history.StatusAborted
 	} else {
 		t.rec.Status = history.StatusCommitted
 	}
 	t.s.c.appendTxn(t.rec)
+	t.s.c.stampMu.Unlock()
 	return err
 }
 

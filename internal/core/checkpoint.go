@@ -129,10 +129,8 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 	// 1..keep; the fence's Base keeps external ids stable.
 	nh := history.New()
 	nh.SetFence(fence)
-	var liveOps int64
 	for _, t := range h.Txns[F:] {
 		nh.Append(t)
-		liveOps += int64(len(t.Ops))
 	}
 	if err := nh.Validate(); err != nil {
 		// The shrink pass guarantees a clean window; failing here would be
@@ -143,7 +141,6 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 	// Swap the history in and drop every derived structure: the index and
 	// records are rebuilt over the small window by the next audit.
 	inc.reset(nh)
-	inc.liveOps = liveOps
 	inc.lastAccept = nil
 	return F - 1, nil
 }
@@ -403,6 +400,6 @@ func (inc *Incremental) buildFence(F int) *history.Fence {
 			f.Writes[op.WriteID] = fw
 		})
 	}
-	f.FreezeKeys()
+	f.Freeze()
 	return f
 }

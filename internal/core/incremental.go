@@ -11,12 +11,19 @@
 // history) and runs the one batch check, CheckPolygraphContext, on it: a
 // session report equals CheckHistory's report on the same live history.
 //
+// Everything an audit does before that check costs O(appended batch), not
+// O(window): the index, the pre-decision gate (tsGate) and the gauges are
+// extended by the new transactions alone, and viper.Checker validates with
+// History.ValidateAppended. What still costs O(window) is the replay of
+// every record, the check's topological sort and its witness check.
+//
 // Rejection is cached: SI (and the other checked levels) are closed under
 // history prefixes, so once a validated prefix is rejected every extension
 // is rejected too, and the session returns the rejecting report from then
 // on. (Validation itself is NOT monotone — a read of a not-yet-appended
 // write is a validation error on the prefix and legal on the extension —
-// which is why callers re-validate the full history before every audit.)
+// which is why callers validate before every audit, and why a failed
+// ValidateAppended validates in full the next time.)
 package core
 
 import (
@@ -33,16 +40,19 @@ import (
 // reuses the construction records of the previous ones. The session is not
 // safe for concurrent use.
 //
-// Audit requires the full history to be validated first; the public
-// viper.Checker wrapper does this on every audit. Every report describes
-// that audit alone and equals the batch report on the same history.
+// Audit requires the history to be validated first; the public
+// viper.Checker wrapper does this on every audit (ValidateAppended).
+// Every report describes that audit alone and equals the batch report on
+// the same history.
 type Incremental struct {
 	opts Options
 	h    *history.History
 
-	// Persistent construction state. preDecide is the pre-decision gate
-	// (tsorder.go) the records were recorded under.
+	// Persistent construction state. gate is the pre-decision gate
+	// (tsorder.go), extended batch by batch; preDecide is its state the
+	// records were recorded under.
 	ix        *readIndex
+	gate      *tsGate
 	g1bHigh   int // h.Txns high-water mark already screened for G1b reads
 	records   map[history.Key]*KeyRecord
 	preDecide bool
@@ -50,11 +60,17 @@ type Incremental struct {
 	rejected *Report // cached graph rejection (levels are prefix-closed)
 	audits   int
 
-	// liveOps counts operations in the live window (Append adds, Checkpoint
-	// subtracts); lastAccept is the most recent audit's accepting report,
-	// nil after any non-accept, append, or checkpoint — Checkpoint requires
-	// it, since the certificate freezes its witness order.
+	// liveOps counts operations in the live window (Append adds, reset
+	// recounts the window). txnBytes is the share of History.EstimateBytes
+	// of the window's transactions below bytesHigh; every audit folds in
+	// the transactions appended since, by this session or — for a matrix
+	// sub-session — by the one owning the history. lastAccept is the most
+	// recent audit's accepting report, nil after any non-accept, append,
+	// or checkpoint — Checkpoint requires it, since the certificate
+	// freezes its witness order.
 	liveOps    int64
+	txnBytes   int64
+	bytesHigh  int
 	lastAccept *Report
 
 	// lastSnap is the most recently published progress snapshot. It is the
@@ -78,10 +94,16 @@ func newIncremental(opts Options, h *history.History) *Incremental {
 }
 
 // reset points the session at h and drops every structure derived from
-// the previous history; the next audit rebuilds them over h.
+// the previous history; the next audit rebuilds them over h. The window
+// counters start from h's transactions.
 func (inc *Incremental) reset(h *history.History) {
 	inc.h = h
+	inc.liveOps, inc.txnBytes, inc.bytesHigh = 0, 0, 1
+	for _, t := range h.Txns[1:] {
+		inc.liveOps += int64(len(t.Ops))
+	}
 	inc.ix = newReadIndex(h)
+	inc.gate = newTSGate(h, inc.opts)
 	inc.g1bHigh = 1
 	inc.records = make(map[history.Key]*KeyRecord)
 	inc.preDecide = false
@@ -119,10 +141,15 @@ func (inc *Incremental) publish(snap obs.Snapshot) {
 // history footprint and the checkpoint certificate's coordinates. Called at
 // the end of every audit so reports and progress snapshots prove (or
 // disprove) that checkpointing bounds the session. ClosureBytes stays zero:
-// no resolution closure outlives the audit that built it.
+// no resolution closure outlives the audit that built it. Every gauge is a
+// running sum or a stored count, so stamping costs nothing per window.
 func (inc *Incremental) stampGauges(rep *Report) {
+	for _, t := range inc.h.Txns[inc.bytesHigh:] {
+		inc.txnBytes += history.EstimateTxnBytes(t)
+	}
+	inc.bytesHigh = len(inc.h.Txns)
 	rep.LiveTxns = inc.h.Len()
-	rep.HistoryBytes = inc.h.EstimateBytes()
+	rep.HistoryBytes = inc.txnBytes + inc.h.KeyBytes()
 	if f := inc.h.Fence(); f != nil {
 		rep.Checkpoints = f.Checkpoints
 		rep.FencedTxns = f.Txns
@@ -273,7 +300,7 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 // construction accounting.
 func (inc *Incremental) construct() (wall, cpu time.Duration, workers int) {
 	keys := inc.ix.update()
-	lite := recorder(inc.h, inc.opts)
+	lite := inc.gate.extend()
 	if lite.preDecide != inc.preDecide {
 		inc.preDecide = lite.preDecide
 		keys = inc.h.Keys()

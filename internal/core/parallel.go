@@ -71,6 +71,21 @@ type KeyRecord struct {
 	Chosen  []Edge
 }
 
+// knownEdges counts the known edges r adds on replay, duplicates
+// included: its read dependencies and its known-edge ops. Constraints
+// add known edges only when a side is impossible, which is rare, so the
+// count leaves them out and sizes the known graph to what replay
+// almost always needs.
+func (r *KeyRecord) knownEdges() int {
+	n := len(r.WR)
+	for i := range r.Ops {
+		if !r.Ops[i].Cons {
+			n++
+		}
+	}
+	return n
+}
+
 // recordKnown records a certain event-level edge, elided when classify
 // resolves it as trivially true or impossible.
 func (pg *Polygraph) recordKnown(rec *KeyRecord, fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind) {
@@ -263,11 +278,11 @@ func (pg *Polygraph) applyOp(op *KeyOp, key history.Key) {
 		// case stays allocation-free by aliasing the record's slice.
 		filter := func(side []Edge) []Edge {
 			for i, e := range side {
-				if pg.knownSet[e] {
+				if pg.knownSet.has(e) {
 					kept := make([]Edge, i, len(side)-1)
 					copy(kept, side[:i])
 					for _, rest := range side[i+1:] {
-						if !pg.knownSet[rest] {
+						if !pg.knownSet.has(rest) {
 							kept = append(kept, rest)
 						}
 					}

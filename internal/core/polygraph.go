@@ -107,7 +107,7 @@ type Polygraph struct {
 	nodeTS []int64
 
 	ser      bool
-	knownSet map[Edge]bool
+	knownSet edgeSet
 
 	// Timestamp pre-decision (tsorder.go). On the recording polygraph
 	// (recorder), preDecide and drift switch it on. On an assembled one,
@@ -216,13 +216,9 @@ func (pg *Polygraph) classify(fromT history.TxnID, fromCommit bool, toT history.
 }
 
 func (pg *Polygraph) addKnown(e Edge, kind EdgeKind, key history.Key) {
-	if e.From == e.To {
+	if e.From == e.To || !pg.knownSet.add(e) {
 		return
 	}
-	if pg.knownSet[e] {
-		return
-	}
-	pg.knownSet[e] = true
 	pg.knownByKind[kind]++
 	pg.Known = append(pg.Known, KnownEdge{Edge: e, Kind: kind, Key: key})
 }
@@ -259,8 +255,15 @@ func Build(h *history.History, opts Options) *Polygraph {
 // the level's variant edges. When the records pre-decided constraints,
 // the polygraph can rebuild itself in full from the index ix returns.
 func assemble(h *history.History, opts Options, ix func() *readIndex, rec func(i int) *KeyRecord) *Polygraph {
-	pg := newPolygraph(h, opts.Level)
-	pg.replay(len(h.Keys()), rec)
+	n := len(h.Keys())
+	known := 0
+	for i := 0; i < n; i++ {
+		if r := rec(i); r != nil {
+			known += r.knownEdges()
+		}
+	}
+	pg := newPolygraph(h, opts.Level, known)
+	pg.replay(n, rec)
 	pg.addVariantEdges(opts)
 	pg.setFull(opts, ix, rec)
 	return pg
@@ -279,18 +282,21 @@ func (pg *Polygraph) setFull(opts Options, ix func() *readIndex, rec func(i int)
 // newPolygraph lays out the skeleton every construction path starts
 // from: the level's node mapping, per-node wall-clock hints, and the
 // intra-transaction edges (begin → commit; none under the
-// Serializability mapping).
-func newPolygraph(h *history.History, level Level) *Polygraph {
+// Serializability mapping). The known graph is sized for those plus
+// known more edges — the records' count, when the caller has them.
+func newPolygraph(h *history.History, level Level, known int) *Polygraph {
 	pg := &Polygraph{
-		H:        h,
-		Level:    level,
-		ser:      level == Serializability,
-		knownSet: make(map[Edge]bool),
+		H:     h,
+		Level: level,
+		ser:   level == Serializability,
 	}
 	pg.NumNodes = int32(len(h.Txns))
 	if !pg.ser {
 		pg.NumNodes *= 2
+		known += len(h.Txns)
 	}
+	pg.Known = make([]KnownEdge, 0, known)
+	pg.knownSet = newEdgeSet(known)
 	pg.initNodeTS()
 	if !pg.ser {
 		for _, t := range h.Txns {
@@ -316,7 +322,13 @@ func (pg *Polygraph) addVariantEdges(opts Options) {
 // initNodeTS fills the per-node wall-clock hints.
 func (pg *Polygraph) initNodeTS() {
 	pg.nodeTS = make([]int64, pg.NumNodes)
-	for _, t := range pg.H.Txns {
+	pg.stampNodes(pg.H.Txns)
+}
+
+// stampNodes sets the wall-clock hints of txns' nodes; an aborted
+// transaction's stay zero.
+func (pg *Polygraph) stampNodes(txns []*history.Txn) {
+	for _, t := range txns {
 		if !t.Committed() {
 			continue
 		}

@@ -84,7 +84,7 @@ func NewShardMerger(h *history.History, opts Options) *ShardMerger {
 	return &ShardMerger{
 		h:    h,
 		opts: opts,
-		pg:   newPolygraph(h, opts.Level),
+		pg:   newPolygraph(h, opts.Level, 0),
 		recs: make([]*KeyRecord, len(h.Keys())),
 	}
 }

@@ -73,7 +73,12 @@ func tsUsable(h *history.History) (ok bool, reason string) {
 	if h == nil {
 		return false, "no history attached to the polygraph"
 	}
-	for _, t := range h.Txns[1:] {
+	return txnsUsable(h.Txns[1:])
+}
+
+// txnsUsable is tsUsable over the transactions txns.
+func txnsUsable(txns []*history.Txn) (ok bool, reason string) {
+	for _, t := range txns {
 		if !t.Committed() {
 			continue
 		}
@@ -110,20 +115,53 @@ func (pg *Polygraph) settled(side []Edge, drift int64) bool {
 // mapping and, when the pre-decision gate is open, the node stamps and
 // drift bound it pre-decides with. The gate depends on h and opts alone.
 func recorder(h *history.History, opts Options) *Polygraph {
-	lite := &Polygraph{H: h, Level: opts.Level, ser: opts.Level == Serializability}
-	if opts.DisableTSFastPath {
-		return lite
+	return newTSGate(h, opts).extend()
+}
+
+// tsGate is the pre-decision gate over a history that grows by appends:
+// the recording polygraph (recorder) of h.Txns[:high], extended one batch
+// of appended transactions at a time. Both of the gate's tests read only
+// immutable per-transaction facts — a committed transaction's stamps, and
+// a read's writer, fixed once the history is validated — so folding in
+// just the appended transactions yields the gate of the whole history,
+// and a closed gate stays closed for as long as the history grows.
+type tsGate struct {
+	lite   *Polygraph
+	high   int  // h.Txns high-water mark folded in
+	closed bool // the fast path is off, or some transaction closed the gate
+}
+
+// newTSGate returns the gate of h with nothing folded in yet.
+func newTSGate(h *history.History, opts Options) *tsGate {
+	return &tsGate{
+		lite:   &Polygraph{H: h, Level: opts.Level, ser: opts.Level == Serializability, drift: opts.ClockDrift.Nanoseconds()},
+		high:   1,
+		closed: opts.DisableTSFastPath,
 	}
-	if ok, _ := tsUsable(h); !ok {
-		return lite
+}
+
+// extend folds the transactions appended since the last call into the
+// gate — their stamps' usability, their node stamps, and their reads'
+// directions — and returns the recording polygraph of the whole
+// history. h must be validated.
+func (g *tsGate) extend() *Polygraph {
+	lite := g.lite
+	from := lite.H.Txns[g.high:]
+	g.high = len(lite.H.Txns)
+	if !g.closed {
+		ok, _ := txnsUsable(from)
+		g.closed = !ok
 	}
-	lite.NumNodes = int32(len(h.Txns))
-	if !lite.ser {
-		lite.NumNodes *= 2
+	if !g.closed {
+		lite.NumNodes = int32(len(lite.H.Txns))
+		if !lite.ser {
+			lite.NumNodes *= 2
+		}
+		lite.nodeTS = append(lite.nodeTS, make([]int64, int(lite.NumNodes)-len(lite.nodeTS))...)
+		lite.stampNodes(from)
+		g.closed = lite.readsContradicted(from)
 	}
-	lite.initNodeTS()
-	lite.drift = opts.ClockDrift.Nanoseconds()
-	lite.preDecide = !lite.readsContradicted()
+	lite.preDecide = !g.closed
 	return lite
 }
 
@@ -136,12 +174,12 @@ func PreDecides(h *history.History, opts Options) bool {
 }
 
 // readsContradicted reports whether some read-dependency edge — a
-// writer's commit → the begin of a transaction that read its version —
-// runs backward under the drift relation. Conformant clocks never do;
-// garbage clocks do almost at once. A key-sliced history carries a
-// subset of the full history's reads, so a slice is never contradicted
-// where the full history is not.
-func (pg *Polygraph) readsContradicted() bool {
+// writer's commit → the begin of a transaction of txns that read its
+// version — runs backward under the drift relation. Conformant clocks
+// never do; garbage clocks do almost at once. A key-sliced history
+// carries a subset of the full history's reads, so a slice is never
+// contradicted where the full history is not.
+func (pg *Polygraph) readsContradicted(txns []*history.Txn) bool {
 	contradicted := func(r history.TxnID, obs history.WriteID) bool {
 		ref, ok := pg.H.WriterOf(obs)
 		if !ok || ref.Txn == history.GenesisID {
@@ -150,7 +188,7 @@ func (pg *Polygraph) readsContradicted() bool {
 		e, cls := pg.classify(ref.Txn, true, r, false)
 		return cls == edgeNormal && pg.after(e.To, e.From, pg.drift)
 	}
-	for _, t := range pg.H.Txns[1:] {
+	for _, t := range txns {
 		if !t.Committed() {
 			continue
 		}

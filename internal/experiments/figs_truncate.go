@@ -77,11 +77,13 @@ func streamAudits(h *history.History, opts core.Options, policy viper.Checkpoint
 // Truncate is the history-compaction ablation (not a paper figure — it
 // tracks this repo's bounded-memory auditing): the same BlindW-RW stream
 // audited incrementally by an unbounded session and by one that
-// checkpoints its checked prefix into a certificate. Columns report
-// cumulative and final (steady-state) audit latency, the live window the
-// checkpointing session actually holds, its history-gauge footprint
-// versus the unbounded session's, and what the certificate costs to
-// carry. Expected shape: identical verdicts; the checkpointing session's
+// checkpoints its checked prefix into a certificate. wall(s) is the
+// checkpointing session's total audit time — the column -ratchet gates —
+// and unbounded(s) the unbounded session's, each the median of
+// cfg.Trials streams. The other columns report final (steady-state)
+// audit latency, the live window the checkpointing session actually
+// holds, its history-gauge footprint versus the unbounded session's, and
+// what the certificate costs to carry. Expected shape: identical verdicts; the checkpointing session's
 // live window and history bytes plateau at the policy's threshold while
 // the unbounded session grows linearly, and its final-audit latency is
 // flat or better (smaller window to re-encode) at the cost of a small
@@ -90,7 +92,7 @@ func Truncate(cfg Config) (*Table, error) {
 	t := &Table{
 		Name:   "truncate",
 		Title:  "checkpoint compaction ablation (streamed audits; unbounded vs -checkpoint-every)",
-		Header: []string{"history", "#txns", "audits", "unbounded(s)", "cp(s)", "last-unb(s)", "last-cp(s)", "live-txns", "hist-unb-KB", "hist-cp-KB", "checkpoints", "cert-KB"},
+		Header: []string{"history", "#txns", "wall(s)", "audits", "unbounded(s)", "last-unb(s)", "last-cp(s)", "live-txns", "hist-unb-KB", "hist-cp-KB", "checkpoints", "cert-KB"},
 	}
 	opts := core.Options{
 		Level:             core.AdyaSI,
@@ -99,7 +101,7 @@ func Truncate(cfg Config) (*Table, error) {
 		DisableTSFastPath: cfg.DisableTSFastPath,
 	}
 	kb := func(b int64) string { return fmt.Sprintf("%.0f", float64(b)/1024) }
-	for _, size := range cfg.sizes([]int{1000, 2000, 4000}) {
+	for _, size := range cfg.sizes([]int{20000, 40000}) {
 		h, err := genHistory(workload.NewBlindWRW(), size, cfg, int64(size))
 		if err != nil {
 			return nil, err
@@ -111,21 +113,24 @@ func Truncate(cfg Config) (*Table, error) {
 		// The checkpointing session compacts once the live window reaches
 		// two audit periods, keeping half an audit period live.
 		policy := viper.CheckpointPolicy{EveryTxns: 2 * every, Keep: every / 2}
-		unb, err := streamAudits(h, opts, viper.CheckpointPolicy{}, every)
-		if err != nil {
-			return nil, fmt.Errorf("truncate ablation (unbounded, %d txns): %w", size, err)
-		}
-		cp, err := streamAudits(h, opts, policy, every)
-		if err != nil {
-			return nil, fmt.Errorf("truncate ablation (checkpointed, %d txns): %w", size, err)
-		}
-		if unb.outcome != cp.outcome {
-			return nil, fmt.Errorf("truncate ablation: verdicts diverge at %d txns: unbounded %v vs checkpointed %v",
-				size, unb.outcome, cp.outcome)
+		var unb, cp truncateRun
+		var unbTotals, cpTotals []time.Duration
+		for trial := 0; trial < cfg.trials(); trial++ {
+			if unb, err = streamAudits(h, opts, viper.CheckpointPolicy{}, every); err != nil {
+				return nil, fmt.Errorf("truncate ablation (unbounded, %d txns): %w", size, err)
+			}
+			if cp, err = streamAudits(h, opts, policy, every); err != nil {
+				return nil, fmt.Errorf("truncate ablation (checkpointed, %d txns): %w", size, err)
+			}
+			if unb.outcome != cp.outcome {
+				return nil, fmt.Errorf("truncate ablation: verdicts diverge at %d txns: unbounded %v vs checkpointed %v",
+					size, unb.outcome, cp.outcome)
+			}
+			unbTotals, cpTotals = append(unbTotals, unb.auditTotal), append(cpTotals, cp.auditTotal)
 		}
 		t.Rows = append(t.Rows, []string{
-			"blindw-rw", fmt.Sprint(size), fmt.Sprint(cp.audits),
-			secs(unb.auditTotal), secs(cp.auditTotal),
+			"blindw-rw", fmt.Sprint(size), secs(median(cpTotals)), fmt.Sprint(cp.audits),
+			secs(median(unbTotals)),
 			secs(unb.lastAudit), secs(cp.lastAudit),
 			fmt.Sprint(cp.liveTxns), kb(unb.histBytes), kb(cp.histBytes),
 			fmt.Sprint(cp.checkpoints), kb(cp.certBytes),

@@ -21,7 +21,7 @@ func testFence(base int64, sessBase []int32, writes map[WriteID]FencedWrite) *Fe
 			f.Latest[fw.Key] = w
 		}
 	}
-	f.FreezeKeys()
+	f.Freeze()
 	return f
 }
 

@@ -13,7 +13,9 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -200,8 +202,15 @@ type History struct {
 	fence *Fence // checkpoint certificate for the compacted prefix, or nil
 
 	writerOf map[WriteID]WriterRef // committed writes only
+	aborted  map[WriteID]WriterRef // aborted transactions' writes (G1a, duplicates)
 	keys     []Key                 // sorted distinct keys written by committed txns
-	keyIdx   map[Key]int
+	keyBytes int64                 // the key index's share of EstimateBytes
+
+	// validated is how many of Txns the last validation accepted (0 when
+	// it failed or never ran), under the fence validFence: the prefix
+	// ValidateAppended extends.
+	validated  int
+	validFence *Fence
 }
 
 // New returns an empty history containing only the genesis transaction.
@@ -378,18 +387,47 @@ func (h *History) errf(kind ViolationKind, txn TxnID, op int, format string, arg
 //   - session sequence numbers are dense and transactions within a session
 //     do not overlap in time (sessions are synchronous).
 func (h *History) Validate() error {
+	h.validated = 0
 	h.writerOf = make(map[WriteID]WriterRef, len(h.Txns)*4)
-	h.keyIdx = nil
-	h.keys = h.keys[:0]
+	h.aborted = nil
+	h.keys, h.keyBytes = nil, 0
 
 	if len(h.Txns) == 0 || !h.Txns[0].IsGenesis() || !h.Txns[0].Committed() {
 		return h.errf(ErrMalformed, 0, -1, "missing or invalid genesis transaction")
 	}
+	return h.validate(1)
+}
 
-	// Pass 1: index committed writes, check uniqueness, collect keys.
-	keySet := make(map[Key]struct{})
-	allWrites := make(map[WriteID]WriterRef, len(h.Txns)*4) // incl. aborted, for G1a detection
-	for _, t := range h.Txns[1:] {
+// ValidateAppended is Validate for a history that has only grown since
+// its last successful validation: it checks just the transactions
+// appended since then and extends the indexes with them, returning
+// exactly the error (and building exactly the indexes) Validate would.
+// The transactions validated before must not have been modified. It
+// validates in full on first use, after a failed validation and after
+// the fence changed.
+func (h *History) ValidateAppended() error {
+	if h.validated == 0 || h.validFence != h.fence || h.validated > len(h.Txns) {
+		return h.Validate()
+	}
+	if h.validated == len(h.Txns) {
+		return nil
+	}
+	return h.validate(h.validated)
+}
+
+// validate checks h.Txns[from:] against the indexes of the validated
+// prefix h.Txns[:from] and extends them. It runs Validate's three passes
+// in order over the new transactions alone, which reports the violation
+// a full validation reports first: the prefix passed every check, and
+// appending cannot change a prefix check's outcome (its reads resolved
+// to prefix writes, whose ids later writes may not reuse).
+func (h *History) validate(from int) error {
+	h.validated = 0 // a failure leaves the indexes partial
+	txns := h.Txns[from:]
+
+	// Pass 1: index the writes, check uniqueness, collect new keys.
+	newKeys := make(map[Key]struct{})
+	for _, t := range txns {
 		if int(t.ID) >= len(h.Txns) || h.Txns[t.ID] != t {
 			return h.errf(ErrMalformed, t.ID, -1, "transaction id does not match its index")
 		}
@@ -405,25 +443,32 @@ func (h *History) Validate() error {
 						return h.errf(ErrMalformed, t.ID, i, "duplicate write id %d (already written before the fence)", op.WriteID)
 					}
 				}
-				if prev, dup := allWrites[op.WriteID]; dup {
+				if prev, dup := h.anyWriter(op.WriteID); dup {
 					return h.errf(ErrMalformed, t.ID, i, "duplicate write id %d (first written by txn %d)", op.WriteID, prev.Txn)
 				}
-				allWrites[op.WriteID] = WriterRef{Txn: t.ID, Op: i}
-				if t.Committed() {
-					h.writerOf[op.WriteID] = WriterRef{Txn: t.ID, Op: i}
-					keySet[op.Key] = struct{}{}
+				ref := WriterRef{Txn: t.ID, Op: i}
+				if !t.Committed() {
+					if h.aborted == nil {
+						h.aborted = make(map[WriteID]WriterRef)
+					}
+					h.aborted[op.WriteID] = ref
+					continue
+				}
+				h.writerOf[op.WriteID] = ref
+				if _, known := slices.BinarySearch(h.keys, op.Key); !known {
+					newKeys[op.Key] = struct{}{}
 				}
 			}
 		}
 	}
 
 	// Pass 2: resolve reads, check program order and range bounds.
-	for _, t := range h.Txns[1:] {
+	for _, t := range txns {
 		for i := range t.Ops {
 			op := &t.Ops[i]
 			switch op.Kind {
 			case OpRead:
-				if err := h.validateRead(t, i, op.Key, op.Observed, allWrites); err != nil {
+				if err := h.validateRead(t, i, op.Key, op.Observed); err != nil {
 					return err
 				}
 			case OpRange:
@@ -439,7 +484,7 @@ func (h *History) Validate() error {
 						return h.errf(ErrMalformed, t.ID, i, "range query returned key %q twice", v.Key)
 					}
 					seen[v.Key] = struct{}{}
-					if err := h.validateRead(t, i, v.Key, v.WriteID, allWrites); err != nil {
+					if err := h.validateRead(t, i, v.Key, v.WriteID); err != nil {
 						return err
 					}
 				}
@@ -458,49 +503,119 @@ func (h *History) Validate() error {
 	}
 
 	// Pass 3: session order.
-	maxSess := int32(-1)
-	for _, t := range h.Txns[1:] {
+	if err := h.validateSessions(from); err != nil {
+		return err
+	}
+
+	h.addKeys(newKeys)
+	h.validated, h.validFence = len(h.Txns), h.fence
+	return nil
+}
+
+// validateSessions extends the session index with h.Txns[from:] and
+// checks that every session it touched is densely sequenced. A session's
+// validated prefix is dense and sorted, so when the new transactions
+// sequence after it only they need sorting and checking; otherwise the
+// whole session is re-sorted and re-checked. Sorting is stable, so a
+// duplicated sequence number names the later transaction either way.
+func (h *History) validateSessions(from int) error {
+	maxSess := int32(len(h.Sessions)) - 1
+	if from == 1 {
+		maxSess = -1
+	}
+	for _, t := range h.Txns[from:] {
 		if t.Session < 0 {
 			return h.errf(ErrMalformed, t.ID, -1, "transaction without a session")
 		}
-		if t.Session > maxSess {
-			maxSess = t.Session
-		}
+		maxSess = max(maxSess, t.Session)
 	}
-	h.Sessions = make([][]TxnID, maxSess+1)
-	for _, t := range h.Txns[1:] {
+	if from == 1 {
+		h.Sessions = make([][]TxnID, maxSess+1)
+	}
+	for int32(len(h.Sessions)) <= maxSess {
+		h.Sessions = append(h.Sessions, nil)
+	}
+	// checked[sid] is where session sid's unchecked suffix starts.
+	checked := make(map[int32]int)
+	for _, t := range h.Txns[from:] {
+		if _, ok := checked[t.Session]; !ok {
+			checked[t.Session] = len(h.Sessions[t.Session])
+		}
 		h.Sessions[t.Session] = append(h.Sessions[t.Session], t.ID)
 	}
-	for sid, txns := range h.Sessions {
-		sort.Slice(txns, func(a, b int) bool {
-			return h.Txns[txns[a]].SeqInSession < h.Txns[txns[b]].SeqInSession
-		})
+	sids := make([]int32, 0, len(checked))
+	for sid := range checked {
+		sids = append(sids, sid)
+	}
+	slices.Sort(sids)
+	seq := func(id TxnID) int32 { return h.Txns[id].SeqInSession }
+	bySeq := func(a, b TxnID) int { return cmp.Compare(seq(a), seq(b)) }
+	sortBySeq := func(ids []TxnID) {
+		if !slices.IsSortedFunc(ids, bySeq) {
+			slices.SortStableFunc(ids, bySeq)
+		}
+	}
+	for _, sid := range sids {
+		txns, start := h.Sessions[sid], checked[sid]
+		sortBySeq(txns[start:])
+		if start > 0 && seq(txns[start]) < seq(txns[start-1]) {
+			sortBySeq(txns)
+			start = 0
+		}
 		base := 0
-		if f := h.fence; f != nil && sid < len(f.SessBase) {
+		if f := h.fence; f != nil && int(sid) < len(f.SessBase) {
 			base = int(f.SessBase[sid])
 		}
-		for i, id := range txns {
-			if int(h.Txns[id].SeqInSession) != base+i {
-				return h.errf(ErrMalformed, id, -1, "session %d sequence numbers not dense at position %d", sid, base+i)
+		for i := start; i < len(txns); i++ {
+			if int(seq(txns[i])) != base+i {
+				return h.errf(ErrMalformed, txns[i], -1, "session %d sequence numbers not dense at position %d", sid, base+i)
 			}
 		}
-	}
-
-	h.keys = make([]Key, 0, len(keySet))
-	for k := range keySet {
-		h.keys = append(h.keys, k)
-	}
-	sort.Slice(h.keys, func(a, b int) bool { return h.keys[a] < h.keys[b] })
-	h.keyIdx = make(map[Key]int, len(h.keys))
-	for i, k := range h.keys {
-		h.keyIdx[k] = i
 	}
 	return nil
 }
 
+// addKeys merges newly written keys into the sorted key index. The merge
+// builds a new slice: callers may still hold the one Keys returned.
+func (h *History) addKeys(add map[Key]struct{}) {
+	if len(add) == 0 {
+		return
+	}
+	fresh := make([]Key, 0, len(add))
+	for k := range add {
+		fresh = append(fresh, k)
+		h.keyBytes += fencedKeyBytes + int64(len(k))
+	}
+	slices.Sort(fresh)
+	if len(h.keys) == 0 {
+		h.keys = fresh
+		return
+	}
+	merged := make([]Key, 0, len(h.keys)+len(fresh))
+	old := h.keys
+	for len(old) > 0 && len(fresh) > 0 {
+		if old[0] < fresh[0] {
+			merged, old = append(merged, old[0]), old[1:]
+		} else {
+			merged, fresh = append(merged, fresh[0]), fresh[1:]
+		}
+	}
+	h.keys = append(append(merged, old...), fresh...)
+}
+
+// anyWriter resolves a write id to the op that wrote it, committed or
+// aborted.
+func (h *History) anyWriter(w WriteID) (WriterRef, bool) {
+	if ref, ok := h.writerOf[w]; ok {
+		return ref, true
+	}
+	ref, ok := h.aborted[w]
+	return ref, ok
+}
+
 // validateRead checks a single observation (key, observed write id) made by
 // transaction t at op index i.
-func (h *History) validateRead(t *Txn, i int, key Key, obs WriteID, allWrites map[WriteID]WriterRef) error {
+func (h *History) validateRead(t *Txn, i int, key Key, obs WriteID) error {
 	if obs == GenesisWriteID {
 		if f := h.fence; f != nil && f.Written(key) {
 			// The checked prefix installed a version of this key; observing
@@ -527,7 +642,7 @@ func (h *History) validateRead(t *Txn, i int, key Key, obs WriteID, allWrites ma
 			}
 		}
 	}
-	ref, known := allWrites[obs]
+	ref, known := h.anyWriter(obs)
 	if !known {
 		return h.errf(ErrUnknownWrite, t.ID, i, "key %q, write id %d", key, obs)
 	}
@@ -623,27 +738,36 @@ const (
 // indexes — everything a checkpoint can reclaim. The certificate itself is
 // accounted separately by Fence.Bytes.
 func (h *History) EstimateBytes() int64 {
-	n := int64(0)
+	n := h.keyBytes
 	for _, t := range h.Txns[1:] {
-		n += txnEstBytes
-		for i := range t.Ops {
-			op := &t.Ops[i]
-			n += opEstBytes + int64(len(op.Key)+len(op.Lo)+len(op.Hi))
-			for _, v := range op.Result {
-				n += rangeEntryBytes + int64(len(v.Key))
-			}
-			switch op.Kind {
-			case OpWrite, OpInsert, OpDelete:
-				n += writerIndexBytes
-			}
-		}
-		n += sessionIndexBytes
-	}
-	for _, k := range h.keys {
-		n += fencedKeyBytes + int64(len(k))
+		n += EstimateTxnBytes(t)
 	}
 	return n
 }
+
+// EstimateTxnBytes is one transaction's share of EstimateBytes: the
+// transaction, its operations and range results, and its entries in the
+// writer and session indexes.
+func EstimateTxnBytes(t *Txn) int64 {
+	n := int64(txnEstBytes + sessionIndexBytes)
+	for i := range t.Ops {
+		op := &t.Ops[i]
+		n += opEstBytes + int64(len(op.Key)+len(op.Lo)+len(op.Hi))
+		for _, v := range op.Result {
+			n += rangeEntryBytes + int64(len(v.Key))
+		}
+		switch op.Kind {
+		case OpWrite, OpInsert, OpDelete:
+			n += writerIndexBytes
+		}
+	}
+	return n
+}
+
+// KeyBytes is the key index's share of EstimateBytes, kept current by
+// validation. With EstimateTxnBytes it lets a session keep the estimate
+// as a running sum instead of rescanning its window.
+func (h *History) KeyBytes() int64 { return h.keyBytes }
 
 // ComputeStats validates the history if needed and summarizes it.
 func (h *History) ComputeStats() Stats {

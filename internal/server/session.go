@@ -14,6 +14,7 @@ import (
 	"viper"
 	"viper/internal/core"
 	"viper/internal/histio"
+	"viper/internal/history"
 	"viper/internal/obs"
 )
 
@@ -181,12 +182,7 @@ func (sess *session) drain(appended *int) error {
 // with appends) and the admission gate.
 func (sess *session) audit(ctx context.Context) (*viper.Result, *obs.ReportDoc) {
 	res := sess.checker.AuditContext(ctx)
-	h := sess.checker.History()
-	// Validate populates the snapshot's session/key indexes, which the
-	// document's history-stats section reads; a validation failure is
-	// already in res.Violation.
-	_ = h.Validate()
-	doc := core.BuildReportDoc("viperd", "", h, res.ParseTime, res.Report, res.Violation, sess.opts, nil)
+	doc := core.BuildReportDoc("viperd", "", sess.validated(res.Violation), res.ParseTime, res.Report, res.Violation, sess.opts, nil)
 	// An accepting audit may have auto-checkpointed, shrinking the live
 	// window; refresh the mirrors so listings and /metrics see it.
 	sess.syncMirrors()
@@ -202,11 +198,23 @@ func (sess *session) audit(ctx context.Context) (*viper.Result, *obs.ReportDoc) 
 // admission gate.
 func (sess *session) auditMatrix(ctx context.Context) (*viper.MatrixResult, *obs.ReportDoc) {
 	res := sess.checker.AuditMatrixContext(ctx)
-	h := sess.checker.History()
-	_ = h.Validate()
-	doc := core.BuildMatrixDoc("viperd", "", h, res.ParseTime, res.Matrix, res.Violation, sess.opts, nil)
+	doc := core.BuildMatrixDoc("viperd", "", sess.validated(res.Violation), res.ParseTime, res.Matrix, res.Violation, sess.opts, nil)
 	sess.syncMirrors()
 	return res, doc
+}
+
+// validated returns the history an audit's document describes: the
+// session's own history, which the audit just validated, read in place.
+// A validation failure leaves its indexes partial, so after one the
+// document describes a snapshot validated afresh, as an offline check of
+// the same transactions would. Callers hold sess.mu.
+func (sess *session) validated(violation error) *history.History {
+	if violation == nil {
+		return sess.checker.LiveHistory()
+	}
+	h := sess.checker.History()
+	_ = h.Validate() // fills the indexes the document's history section reads
+	return h
 }
 
 // syncMirrors refreshes the lock-free counters after a mutation under mu.
